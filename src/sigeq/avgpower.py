@@ -38,7 +38,7 @@ from .equilibrium import (
     degenerate_receiver_report,
     informative_risks,
 )
-from .nash import _plain_label, _xi_signs, best_response_receiver
+from .nash import _plain_label, _xi_signs
 from .stackelberg import classify_transmitter_preference
 from .team import require_identical_agents
 
@@ -53,6 +53,7 @@ __all__ = [
 _GRID_POINTS = 4097
 _GOLDEN_TOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SQRT2 = math.sqrt(2.0)
 # fixed-point tolerance is looser than the golden-section step because the
 # refined x* is quantized at ~1e-10 and consecutive iterates inherit it
 _FIXED_POINT_TOL = 1e-8
@@ -152,19 +153,60 @@ def solve_stackelberg_avg(spec: GameSpec) -> EquilibriumReport:
     )
 
 
-def _split_risks(xs: np.ndarray, rule: ReceiverRule, tx: AgentParams,
-                 p_avg: float, sigma: float) -> np.ndarray:
-    """Transmitter risk along the budget curve parametrized by x = |s0|."""
-    pi0, pi1 = tx.prior0, tx.prior1
-    fa, miss = tx.false_alarm_margin, tx.miss_margin
-    sa = _sign(rule.a)
+_curve_cache: tuple = ()  # (key, xs, ys) of the last budget curve built
+
+
+def _budget_curve(p_avg: float, pi0: float, pi1: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grid of splits x = |s0| on [0, sqrt(P/pi0)] and the matching |s1|.
+
+    The curve does not depend on the rule, and a Nash search asks for the
+    same one every round, so the last curve is kept; one entry is enough.
+    The entry is a pure function of its key and is swapped as one tuple, so
+    callers sharing it, on any thread, see the same arrays they would build.
+    """
+    global _curve_cache
+    key = (p_avg, pi0, pi1)
+    cached = _curve_cache
+    if cached and cached[0] == key:
+        return cached[1], cached[2]
+    xs = np.linspace(0.0, math.sqrt(p_avg / pi0), _GRID_POINTS)
     ys = np.sqrt(np.maximum(p_avg - pi0 * xs * xs, 0.0) / pi1)
-    s0 = (-sa * _sign(fa)) * xs
-    s1 = (sa * _sign(miss)) * ys
-    spread = abs(rule.a) * sigma
-    p10 = 0.5 * erfc((rule.eta - rule.a * s0) / spread / math.sqrt(2.0))
-    p01 = 0.5 * erfc(-(rule.eta - rule.a * s1) / spread / math.sqrt(2.0))
-    return pi0 * tx.c00 + pi1 * tx.c11 + pi0 * fa * p10 + pi1 * miss * p01
+    xs.setflags(write=False)
+    ys.setflags(write=False)
+    _curve_cache = (key, xs, ys)
+    return xs, ys
+
+
+def _curve_level(x: float, p_avg: float, pi0: float, pi1: float) -> float:
+    """|s1| on the binding budget for the split x = |s0|."""
+    return math.sqrt(max(p_avg - pi0 * x * x, 0.0) / pi1)
+
+
+def _split_risk(rule: ReceiverRule, tx: AgentParams,
+                sigma: float) -> Callable:
+    """Transmitter risk at the curve point (x, y) = (|s0|, |s1|).
+
+    The returned function works elementwise on arrays (the grid) and on
+    floats (the refinement) with the same operations in the same order, so
+    both give the same bits at the same point.  That holds because scipy's
+    ``erfc`` is used on floats too; ``math.erfc`` rounds differently.
+    """
+    fa, miss = tx.false_alarm_margin, tx.miss_margin
+    a, eta = rule.a, rule.eta
+    sa = _sign(a)
+    sign0 = -sa * _sign(fa)
+    sign1 = sa * _sign(miss)
+    spread = abs(a) * sigma
+    base = tx.prior0 * tx.c00 + tx.prior1 * tx.c11
+    w10 = tx.prior0 * fa
+    w01 = tx.prior1 * miss
+
+    def risk(x, y):
+        p10 = 0.5 * erfc((eta - a * (sign0 * x)) / spread / _SQRT2)
+        p01 = 0.5 * erfc(-(eta - a * (sign1 * y)) / spread / _SQRT2)
+        return base + w10 * p10 + w01 * p01
+
+    return risk
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
@@ -196,9 +238,11 @@ def nash_avg_best_response(rule: ReceiverRule, tx: AgentParams, p_avg: float,
     """Transmitter best response to a threshold rule under an average budget.
 
     Returns the signal pair and the energy split x* = |s0|.  Since the risk
-    along the budget curve need not be convex in x, the minimum is located by
-    a dense grid and sharpened by golden-section; the refined point is never
-    allowed to be worse than the best grid point, ties going to smaller x.
+    along the budget curve need not be convex in x, the minimum is located on
+    a dense grid of splits, built once per budget and reused while the rule
+    changes, then sharpened by a golden-section search on a scalar objective
+    that repeats the grid's formula; the refined point is never allowed to be
+    worse than the best grid point, ties going to smaller x.
     """
     if rule.kind is not RuleKind.THRESHOLD:
         raise SpecError("rule: a threshold rule is required")
@@ -217,20 +261,21 @@ def nash_avg_best_response(rule: ReceiverRule, tx: AgentParams, p_avg: float,
     if miss == 0.0:
         x_star = math.sqrt(p_avg / tx.prior0)
         return SignalDesign(-sa * _sign(fa) * x_star, 0.0), x_star
-    x_hi = math.sqrt(p_avg / tx.prior0)
-    xs = np.linspace(0.0, x_hi, _GRID_POINTS)
-    risks = _split_risks(xs, rule, tx, p_avg, noise.sigma)
+    pi0, pi1 = tx.prior0, tx.prior1
+    xs, ys = _budget_curve(p_avg, pi0, pi1)
+    risk = _split_risk(rule, tx, noise.sigma)
+    risks = risk(xs, ys)
     i = int(np.argmin(risks))
     grid_x, grid_f = float(xs[i]), float(risks[i])
 
     def f(x: float) -> float:
-        return float(_split_risks(np.asarray([x]), rule, tx, p_avg, noise.sigma)[0])
+        return float(risk(x, _curve_level(x, p_avg, pi0, pi1)))
 
     x_star, f_star = _golden_min(f, float(xs[max(i - 1, 0)]),
                                  float(xs[min(i + 1, _GRID_POINTS - 1)]))
     if grid_f < f_star or (grid_f == f_star and grid_x < x_star):
         x_star = grid_x
-    y_star = math.sqrt(max(p_avg - tx.prior0 * x_star * x_star, 0.0) / tx.prior1)
+    y_star = _curve_level(x_star, p_avg, pi0, pi1)
     s0 = -sa * _sign(fa) * x_star
     s1 = sa * _sign(miss) * y_star
     return SignalDesign(s0, s1), x_star
@@ -269,7 +314,9 @@ def solve_nash_avg(spec: GameSpec, max_rounds: int = _MAX_ROUNDS) -> Equilibrium
                                                      spec.power.p_avg, spec.noise)
         else:
             signals, x_star = SignalDesign(0.0, 0.0), 0.0
-        rule = best_response_receiver(signals, spec.receiver, spec.noise)
+        # tau is finite (checked above), so the matched rule is the receiver's
+        # best response
+        rule = optimal_receiver_rule(signals, spec.receiver, spec.noise)
         history.append(signals)
         x_history.append(x_star)
         if len(history) >= 2 and signals_equal(history[-1], history[-2],

@@ -28,6 +28,7 @@ from sigeq import (
     solve_team_avg,
     solve_team,
 )
+from sigeq import avgpower
 from conftest import DEMO_RX, DEMO_TX, random_agent, random_avg_spec
 
 Q1 = 0.15865525393145707
@@ -309,6 +310,87 @@ def test_best_response_matches_exhaustive_grid():
         s1 = (sa * math.copysign(1.0, tx.miss_margin)) * ys
         dense = float(np.min(threshold_risks(tx, s0, s1, a, eta, sigma)))
         assert abs(got - dense) <= 1e-6
+
+
+def _curve_risks_reference(xs: np.ndarray, rule: ReceiverRule, tx: AgentParams,
+                           p_avg: float, sigma: float) -> np.ndarray:
+    """Risk on the budget curve, vectorized in the exact operation order the
+    grid search has always used; the bit-for-bit reference below."""
+    pi0, pi1 = tx.prior0, tx.prior1
+    fa, miss = tx.false_alarm_margin, tx.miss_margin
+    sa = 1 if rule.a > 0 else -1
+    ys = np.sqrt(np.maximum(p_avg - pi0 * xs * xs, 0.0) / pi1)
+    s0 = (-sa * int(math.copysign(1.0, fa))) * xs
+    s1 = (sa * int(math.copysign(1.0, miss))) * ys
+    spread = abs(rule.a) * sigma
+    p10 = 0.5 * erfc((rule.eta - rule.a * s0) / spread / math.sqrt(2.0))
+    p01 = 0.5 * erfc(-(rule.eta - rule.a * s1) / spread / math.sqrt(2.0))
+    return pi0 * tx.c00 + pi1 * tx.c11 + pi0 * fa * p10 + pi1 * miss * p01
+
+
+def test_refinement_objective_matches_grid_formula_bitwise():
+    # the golden-section objective runs on floats; it must give the grid's
+    # bits at the same x, which pins scipy's erfc (math.erfc rounds
+    # differently) and the operation order of the shared formula
+    rng = np.random.default_rng(31)
+    checked = 0
+    while checked < 60:
+        tx = random_agent(rng)
+        if tx.false_alarm_margin == 0.0 or tx.miss_margin == 0.0:
+            continue
+        sigma = float(rng.uniform(0.2, 2.0))
+        p_avg = float(rng.uniform(0.25, 4.0))
+        a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 5.0))
+        rule = ReceiverRule.threshold(a, float(rng.uniform(-3.0, 3.0)))
+        risk = avgpower._split_risk(rule, tx, sigma)
+        xs, ys = avgpower._budget_curve(p_avg, tx.prior0, tx.prior1)
+        assert np.array_equal(risk(xs, ys),
+                              _curve_risks_reference(xs, rule, tx, p_avg, sigma))
+        x_hi = math.sqrt(p_avg / tx.prior0)
+        probes = np.concatenate([rng.uniform(0.0, x_hi, 200),
+                                 xs[rng.integers(0, xs.size, 20)], [0.0, x_hi]])
+        want = _curve_risks_reference(probes, rule, tx, p_avg, sigma)
+        for x, w in zip(probes.tolist(), want.tolist()):
+            y = avgpower._curve_level(x, p_avg, tx.prior0, tx.prior1)
+            assert float(risk(x, y)).hex() == w.hex()
+        if checked < 20:
+            # the refined response still reaches the dense-grid minimum
+            signals, _ = nash_avg_best_response(rule, tx, p_avg,
+                                                NoiseModel.scalar(sigma))
+            got = float(threshold_risks(tx, signals.s0, signals.s1, a,
+                                        rule.eta, sigma))
+            dense = np.linspace(0.0, x_hi, 1_000_001)
+            best = float(np.min(_curve_risks_reference(dense, rule, tx, p_avg, sigma)))
+            assert abs(got - best) <= 1e-6
+        checked += 1
+
+
+def test_best_response_does_not_depend_on_the_previous_call():
+    # the budget curve is reused between calls, so a stale curve would show
+    # as a response that depends on the calls made before it
+    rng = np.random.default_rng(37)
+    sigma = NoiseModel.scalar(0.8)
+    checked = 0
+    while checked < 20:
+        tx, other = random_agent(rng), random_agent(rng)
+        if min(abs(tx.false_alarm_margin), abs(tx.miss_margin),
+               abs(other.false_alarm_margin), abs(other.miss_margin)) == 0.0:
+            continue
+        p_avg, p_other = (float(p) for p in rng.uniform(0.25, 4.0, 2))
+        rule = ReceiverRule.threshold(float(rng.choice([-1.0, 1.0])
+                                            * rng.uniform(0.2, 3.0)),
+                                      float(rng.uniform(-1.0, 1.0)))
+        responses = set()
+        # the last call before (tx, p_avg) changes both, only the budget, or
+        # only the agent
+        for before in ([(other, p_other)], [(other, p_other), (tx, p_other)],
+                       [(tx, p_other), (other, p_avg)]):
+            for agent, budget in before:
+                nash_avg_best_response(rule, agent, budget, sigma)
+            signals, x_star = nash_avg_best_response(rule, tx, p_avg, sigma)
+            responses.add((signals.s0, signals.s1, x_star))
+        assert len(responses) == 1
+        checked += 1
 
 
 # ---------------------------------------------------------------------------
