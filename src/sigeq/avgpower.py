@@ -4,8 +4,12 @@ The constraint pi0 S0^2 + pi1 S1^2 <= P couples the two signal magnitudes, so
 the transmitter trades energy between hypotheses instead of saturating each.
 Separation is still what matters: its constrained maximum has a closed form,
 reached when the budget binds, and it reproduces the peak-power analysis with
-d_max = sqrt(((pi0 + pi1)/(pi0 pi1)) P) / sigma.  The transmitter's Nash best
-response has no closed form, so it is found numerically on the budget curve.
+d_max = sqrt(((pi0 + pi1)/(pi0 pi1)) P) / sigma.  The transmitter's best
+response to a fixed rule has no closed form and is found numerically on the
+budget curve.  The Nash equilibrium does not need it: against the rule matched
+to the pair itself, the transmitter's first-order condition on the budget
+curve has one root in closed form, and the numeric best response only
+certifies that this root is a global one.
 """
 
 import math
@@ -28,7 +32,6 @@ from .detection import (
     derived_quantities,
     optimal_receiver_rule,
     risk_pair,
-    signals_equal,
 )
 from .equilibrium import (
     Concept,
@@ -54,14 +57,10 @@ _GRID_POINTS = 4097
 _GOLDEN_TOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _SQRT2 = math.sqrt(2.0)
-# fixed-point tolerance is looser than the golden-section step because the
-# refined x* is quantized at ~1e-10 and consecutive iterates inherit it
-_FIXED_POINT_TOL = 1e-8
-# x* rattle within this many grid cells is optimizer noise, not travel; the
-# noise in the signals can exceed _FIXED_POINT_TOL because dy/dx = -b0 x/(b1 y)
-# amplifies it without bound as y -> 0
-_STALL_CELLS = 16.0
-_MAX_ROUNDS = 64
+# the stationary split certifies when its risk is within this of the numeric
+# best response's.  In one flat minimum the two differ by rounding (up to
+# 1.2e-13 seen); a better split elsewhere is a real gap (4.5e-10 the least)
+_CERTIFY_TOL = 1e-12
 
 
 def max_separation_signals(beta0: float, beta1: float, budget: float) -> SignalDesign:
@@ -159,8 +158,9 @@ _curve_cache: tuple = ()  # (key, xs, ys) of the last budget curve built
 def _budget_curve(p_avg: float, pi0: float, pi1: float) -> tuple[np.ndarray, np.ndarray]:
     """Grid of splits x = |s0| on [0, sqrt(P/pi0)] and the matching |s1|.
 
-    The curve does not depend on the rule, and a Nash search asks for the
-    same one every round, so the last curve is kept; one entry is enough.
+    The curve does not depend on the rule, and callers that respond to
+    several rules on one budget ask for the same one, so the last curve is
+    kept; one entry is enough.
     The entry is a pure function of its key and is swapped as one tuple, so
     callers sharing it, on any thread, see the same arrays they would build.
     """
@@ -281,78 +281,75 @@ def nash_avg_best_response(rule: ReceiverRule, tx: AgentParams, p_avg: float,
     return SignalDesign(s0, s1), x_star
 
 
-def solve_nash_avg(spec: GameSpec, max_rounds: int = _MAX_ROUNDS) -> EquilibriumReport:
-    """Equilibrium search under an average-power budget.
+def _stationary_split(w0: float, w1: float, p_avg: float, pi0: float,
+                     pi1: float) -> tuple[float, float]:
+    """The point (x, y) = (|s0|, |s1|) of the binding budget with x : y = w0 : w1.
 
-    Alternates the numeric transmitter response with the matched rule until
-    the signal pair repeats.  A fixed point with distinct signals is an
-    informative equilibrium; a coincident fixed point is the prior-only
-    outcome, which exists in every game here.  A 2-cycle or an exhausted
-    iteration budget means no informative equilibrium was found, and the
-    coincident outcome is reported as the only one.
+    The weights are scaled to a largest of 1 first, so their squares cannot
+    overflow.
+    """
+    scale = max(w0, w1)
+    w0, w1 = w0 / scale, w1 / scale
+    k = math.sqrt(p_avg / (pi0 * w0 * w0 + pi1 * w1 * w1))
+    return w0 * k, w1 * k
+
+
+def solve_nash_avg(spec: GameSpec) -> EquilibriumReport:
+    """Equilibrium classification under an average-power budget.
+
+    At an informative equilibrium the pair sits on the budget curve at some
+    split x = |s0|, y = |s1|, oriented as s0 = -sign(fa) x, s1 = sign(miss) y
+    (or mirrored, which changes no risk), and the receiver plays the rule
+    matched to it.  Along the curve, the slope of the transmitter's risk
+    against a fixed rule has the sign of the log-space first-order condition
+        g(x) = [ln(|miss| x) - u1^2/2] - [ln(|fa| y) - u0^2/2],
+    where u0, u1 are the normalized distances of the two signals from the
+    decision boundary.  The matched rule puts that boundary where the
+    likelihood ratio equals tau, so u0^2/2 - u1^2/2 = ln tau for every x and
+    g(x) = ln(|miss| tau x / (|fa| y)): strictly increasing, with the single
+    root x : y = |fa| : tau |miss|.  That root is an equilibrium if and only
+    if its matched rule keeps the orientation (direction a > 0) and it is a
+    global best response to that rule, which ``nash_avg_best_response``
+    certifies by risk.  So the informative equilibrium is unique up to the
+    mirror pair; when the root fails either test, the coincident prior-only
+    outcome is the only equilibrium.  A transmitter with a zero margin falls
+    under the same formula: the free signal carries no risk and stays at 0.
     """
     _require_scalar_avg(spec)
     dq = derived_quantities(spec)
     if not dq.tau.is_finite:
         return degenerate_receiver_report(Concept.NASH, spec, dq)
     tau = dq.tau.finite_value()
-    sx0, sx1 = _xi_signs(spec.transmitter, dq.zeta)
-    base_label = _plain_label(sx0, sx1)
-    mixed = sx0 * sx1 < 0
-    root_budget = math.sqrt(spec.power.p_avg)
-
-    rule = ReceiverRule.threshold(1.0, 0.0)
-    history: list[SignalDesign] = []
-    x_history: list[float] = []
-    x_cell = (math.sqrt(spec.power.p_avg / spec.transmitter.prior0)
-              / (_GRID_POINTS - 1))
-    x_star = 0.0
-    outcome = "exhausted"
-    for _ in range(max_rounds):
-        if rule.kind is RuleKind.THRESHOLD:
-            signals, x_star = nash_avg_best_response(rule, spec.transmitter,
-                                                     spec.power.p_avg, spec.noise)
-        else:
-            signals, x_star = SignalDesign(0.0, 0.0), 0.0
-        # tau is finite (checked above), so the matched rule is the receiver's
-        # best response
-        rule = optimal_receiver_rule(signals, spec.receiver, spec.noise)
-        history.append(signals)
-        x_history.append(x_star)
-        if len(history) >= 2 and signals_equal(history[-1], history[-2],
-                                               tol=_FIXED_POINT_TOL):
-            outcome = "fixed-point"
-            break
-        if (len(history) >= 3
-                and signals_equal(history[-1], history[-3], tol=_FIXED_POINT_TOL)):
-            # a repeat two rounds apart is a real cycle only if the pair
-            # orientation flipped or x* traveled beyond its resolution;
-            # otherwise the iteration is rattling around a fixed point
-            same_side = (_sign(history[-1].s1 - history[-1].s0)
-                         == _sign(history[-2].s1 - history[-2].s0))
-            stalled = (same_side
-                       and abs(x_history[-1] - x_history[-2]) <= _STALL_CELLS * x_cell)
-            outcome = "fixed-point" if stalled else "cycle"
-            break
-
-    if outcome != "fixed-point":
-        label = base_label if outcome == "cycle" else "exhausted"
+    tx = spec.transmitter
+    fa, miss = tx.false_alarm_margin, tx.miss_margin
+    sx0, sx1 = _xi_signs(tx, dq.zeta)
+    label = _plain_label(sx0, sx1)
+    if fa == 0.0 and miss == 0.0:
+        # an indifferent transmitter settles on coincident signals
+        return babbling_report(Concept.NASH, spec, dq, label, Existence.EXISTS)
+    x, y = _stationary_split(abs(fa), tau * abs(miss), spec.power.p_avg,
+                             tx.prior0, tx.prior1)
+    # the matched rule's direction is zeta (s1 - s0) = sx0 x + sx1 y; against
+    # a < 0 the mirror pair does strictly better, so the root cannot certify
+    # and the numeric response is not needed
+    if sx0 * x + sx1 * y <= 0.0:
         return babbling_report(Concept.NASH, spec, dq, label,
                                Existence.ONLY_DEGENERATE)
-    if signals.coincident:
-        return babbling_report(Concept.NASH, spec, dq, base_label,
-                               Existence.EXISTS)
-    label = base_label
-    if mixed:
-        label += " x*<rootP" if x_star < root_budget else " x*>=rootP"
-    risk_t, risk_r = risk_pair(spec.transmitter, spec.receiver, signals, rule,
-                               spec.noise)
-    d_star = abs(signals.s1 - signals.s0) / spec.noise.sigma
+    signals = SignalDesign(-_sign(fa) * x, _sign(miss) * y)
+    rule = optimal_receiver_rule(signals, spec.receiver, spec.noise)
+    risk_t, risk_r = risk_pair(tx, spec.receiver, signals, rule, spec.noise)
+    best, _ = nash_avg_best_response(rule, tx, spec.power.p_avg, spec.noise)
+    best_t, _ = risk_pair(tx, spec.receiver, best, rule, spec.noise)
+    if risk_t > best_t + _CERTIFY_TOL:
+        return babbling_report(Concept.NASH, spec, dq, label,
+                               Existence.ONLY_DEGENERATE)
+    if sx0 * sx1 < 0:
+        label += " x*<rootP" if x < math.sqrt(spec.power.p_avg) else " x*>=rootP"
     return EquilibriumReport(
         concept=Concept.NASH,
         case_label=label,
         informative=True,
-        d_star=d_star,
+        d_star=abs(signals.s1 - signals.s0) / spec.noise.sigma,
         d_max=dq.d_max,
         signals=signals,
         rule=rule,

@@ -93,10 +93,10 @@ class AgentParams:
     """Priors and decision costs of one agent.
 
     Priors must be strictly positive and sum to one within 1e-12; costs must
-    be nonnegative.  The two cost margins that drive every result are exposed
-    as properties: ``false_alarm_margin`` (C10 - C00, the extra cost of
-    deciding H1 under H0) and ``miss_margin`` (C01 - C11, the extra cost of
-    deciding H0 under H1).
+    be finite and nonnegative.  The two cost margins that drive every result
+    are exposed as properties: ``false_alarm_margin`` (C10 - C00, the extra
+    cost of deciding H1 under H0) and ``miss_margin`` (C01 - C11, the extra
+    cost of deciding H0 under H1).
     """
 
     prior0: float
@@ -122,6 +122,8 @@ class AgentParams:
         if abs(self.prior0 + self.prior1 - 1.0) > _PRIOR_TOL:
             raise SpecError("prior0: prior0 + prior1 must equal 1 within 1e-12")
         flat = self.costs[0] + self.costs[1]
+        if not all(math.isfinite(c) for c in flat):
+            raise SpecError("costs: entries must be finite")
         if not all(c >= 0.0 for c in flat):
             raise SpecError("costs: entries must be nonnegative")
 
@@ -162,8 +164,9 @@ class AgentParams:
 class NoiseModel:
     """Additive Gaussian noise: scalar N(0, sigma^2) or vector N(0, covariance).
 
-    Exactly one of ``sigma`` / ``covariance`` is set.  A covariance must be
-    square, symmetric within 1e-12 elementwise, and positive definite.
+    Exactly one of ``sigma`` / ``covariance`` is set.  Values must be finite;
+    a covariance must be square, symmetric within 1e-12 elementwise, and
+    positive definite.
     """
 
     sigma: float | None = None
@@ -174,6 +177,8 @@ class NoiseModel:
             raise SpecError("noise: provide exactly one of sigma or covariance")
         if self.sigma is not None:
             object.__setattr__(self, "sigma", float(self.sigma))
+            if not math.isfinite(self.sigma):
+                raise SpecError("noise.sigma: must be finite")
             if not self.sigma > 0.0:
                 raise SpecError("noise.sigma: must be strictly positive")
             return
@@ -182,6 +187,8 @@ class NoiseModel:
             raise SpecError("noise.covariance: must be a square matrix")
         if cov.shape[0] > 64:
             raise SpecError("noise.covariance: dimension limited to 64")
+        if not np.all(np.isfinite(cov)):
+            raise SpecError("noise.covariance: entries must be finite")
         if np.max(np.abs(cov - cov.T)) > _SYMMETRY_TOL:
             raise SpecError("noise.covariance: must be symmetric within 1e-12")
         if float(np.linalg.eigvalsh(cov)[0]) <= 0.0:
@@ -214,8 +221,11 @@ class PeakPower:
     p1: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p0", float(self.p0))
-        object.__setattr__(self, "p1", float(self.p1))
+        for name in ("p0", "p1"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise SpecError(f"power: {name} must be finite")
+            object.__setattr__(self, name, value)
         if not (self.p0 > 0.0 and self.p1 > 0.0):
             raise SpecError("power: peak budgets must be strictly positive")
 
@@ -228,6 +238,8 @@ class AveragePower:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_avg", float(self.p_avg))
+        if not math.isfinite(self.p_avg):
+            raise SpecError("power: p_avg must be finite")
         if not self.p_avg > 0.0:
             raise SpecError("power: p_avg must be strictly positive")
 

@@ -124,6 +124,26 @@ def test_power_validation():
                  dimension=3)
 
 
+def _covariance_with(bad: float) -> NoiseModel:
+    cov = np.eye(2)
+    cov[0, 1] = cov[1, 0] = bad
+    return NoiseModel.matrix(cov)
+
+
+@pytest.mark.parametrize("field, build", [
+    ("costs", lambda bad: AgentParams.from_prior0(0.5, ((0.0, bad), (1.0, 0.0)))),
+    ("p_avg", lambda bad: AveragePower(bad)),
+    ("p0", lambda bad: PeakPower(bad, 1.0)),
+    ("p1", lambda bad: PeakPower(1.0, bad)),
+    ("noise.sigma", lambda bad: NoiseModel.scalar(bad)),
+    ("noise.covariance", _covariance_with),
+])
+def test_non_finite_values_are_rejected_naming_the_field(field, build):
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(SpecError, match=f"{field}.* must be finite"):
+            build(bad)
+
+
 def test_check_power_budgets():
     tx = DEMO_TX
     check_power(SignalDesign(-1.0, 1.0), PeakPower(1.0, 1.0), tx)
