@@ -423,7 +423,13 @@ class ReceiverRule:
             object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "eta", float(self.eta))
         if self.kind is RuleKind.THRESHOLD:
-            if self._direction_norm() == 0.0:
+            norm = self._direction_norm()
+            # a finite norm has finite entries; an infinite one may overflow
+            if not math.isfinite(norm) and not np.all(np.isfinite(self.a)):
+                raise SpecError("rule.a: must be finite")
+            if not math.isfinite(self.eta):
+                raise SpecError("rule.eta: must be finite")
+            if norm == 0.0:
                 raise SpecError("rule: a threshold rule needs a nonzero direction")
         elif isinstance(self.a, np.ndarray) or self.a != 0.0:
             raise SpecError("rule: degenerate rules carry a = 0")

@@ -8,9 +8,14 @@ Both exist to catch mistakes in the closed-form solvers.
 
 Reproducibility contract: sampling uses the Philox counter-based generator,
 one independent subsequence per (hypothesis, chunk) derived from the master
-seed, and standard normals via the inverse CDF (scipy ndtri).  Chunk results
-are integer tallies, so their sum does not depend on worker scheduling and
-results are bitwise identical for any thread count.
+seed, and standard normals via the inverse CDF (scipy ndtri) of its
+uniforms.  Chunk results are integer tallies, so their sum does not depend on
+worker scheduling and results are bitwise identical for any thread count.
+The tallies are exactly those of pushing every uniform through ndtri and the
+decision rule, but most samples never reach ndtri: a scalar chunk is counted
+against the rule's boundary mapped into uniform space, and a vector chunk
+whose boundary lies beyond the sampler's reach is not drawn at all (see
+``_count_h1_scalar`` and ``_count_h1_vector``).
 """
 
 import math
@@ -19,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, ndtri
+from scipy.special import erfc, ndtr, ndtri
 
 from .detection import (
     AgentParams,
@@ -41,6 +46,17 @@ __all__ = ["McEstimate", "mc_estimate", "grid_search_transmitter"]
 _CHUNK = 1 << 15
 _MIN_SAMPLES = 10_000
 _SQRT2 = math.sqrt(2.0)
+# The sampler's uniforms lie on the lattice k * 2**-53 for 1 <= k < 2**53
+# (random() yields k = 0 too; it is moved to k = 1).
+_U_MIN = 2.0 ** -53
+# Pads a uniform-space bound for the absolute error of ndtr (below 2e-16).
+_U_PAD = 2.0 ** -50
+# Relative guard band of the boundary tests, about 8000 ulps: far above the
+# error of ndtri (below 2e-15 in absolute terms) and the float error of the
+# affine decision rule.
+_GUARD = 2.0 ** -40
+# Exceeds |ndtri(u)| <= ndtri(1 - 2**-53) = 8.2095... on the whole lattice.
+_Z_REACH = 8.25
 
 
 @dataclass(frozen=True)
@@ -59,27 +75,82 @@ class McEstimate:
     seed: int
 
 
-def _chunk_normals(seed: int, hyp: int, chunk: int, shape) -> np.ndarray:
+def _chunk_uniforms(seed: int, hyp: int, chunk: int, shape) -> np.ndarray:
     gen = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed,
                                                 spawn_key=(hyp, chunk)))
     )
     u = gen.random(shape)
     # random() can return exactly 0, where the inverse CDF diverges
-    u[u == 0.0] = 2.0 ** -53
-    return ndtri(u)
+    u[u == 0.0] = _U_MIN
+    return u
+
+
+def _chunk_normals(seed: int, hyp: int, chunk: int, shape) -> np.ndarray:
+    return ndtri(_chunk_uniforms(seed, hyp, chunk, shape))
 
 
 def _count_h1_scalar(seed: int, hyp: int, chunk: int, size: int, signal: float,
                      sigma: float, a: float, eta: float) -> int:
-    z = _chunk_normals(seed, hyp, chunk, size)
-    y = signal + sigma * z
-    return int(np.count_nonzero(a * y > eta))
+    """Count ``a * (signal + sigma * ndtri(u)) > eta`` over the chunk's
+    uniforms, calling ndtri only near the boundary.
+
+    In exact arithmetic the rule declares H1 iff z > t when a > 0 and iff
+    z < t when a < 0, with t = (eta/a - signal)/sigma.  The guard band
+    t +- delta is about 8000 ulps of |t|, |eta/a|/sigma and |signal|/sigma,
+    far wider than the float error of t, of the rule itself and of ndtri.
+    Its ends map to the uniform bounds lo = ndtr(t - delta) - pad and
+    hi = ndtr(t + delta) + pad, the pad exceeding ndtr's absolute error.  So
+    u > hi implies Phi^-1(u) > t + delta: float ndtri(u) lies above the band
+    and the float rule takes the exact side; likewise for u < lo.  Only
+    lo <= u <= hi needs the rule itself.  The argument rests on the accuracy
+    of ndtr and ndtri, not on float ndtri being monotone.
+
+    A band wholly beyond +-_Z_REACH decides the chunk without drawing it.
+    (The uniform bounds cannot show this: the pad keeps hi above 2**-50 and
+    lo below 1 - 2**-50.)  If t or delta is not finite, the band is the
+    whole lattice and every sample takes the rule.
+    """
+    t = (eta / a - signal) / sigma
+    delta = _GUARD * (1.0 + abs(t) + (abs(eta / a) + abs(signal)) / sigma)
+    if math.isfinite(t) and math.isfinite(delta):
+        # H1 lies above the band when a > 0 and below it when a < 0
+        if t + delta <= -_Z_REACH:
+            return size if a > 0 else 0
+        if t - delta >= _Z_REACH:
+            return 0 if a > 0 else size
+        lo = float(ndtr(t - delta)) - _U_PAD
+        hi = float(ndtr(t + delta)) + _U_PAD
+    else:
+        lo, hi = -math.inf, math.inf
+    u = _chunk_uniforms(seed, hyp, chunk, size)
+    above = int(np.count_nonzero(u > hi))
+    in_band = int(np.count_nonzero(u >= lo)) - above
+    count = above if a > 0 else size - above - in_band
+    if in_band:
+        z = ndtri(u[(u >= lo) & (u <= hi)])
+        count += int(np.count_nonzero(a * (signal + sigma * z) > eta))
+    return count
 
 
 def _count_h1_vector(seed: int, hyp: int, chunk: int, size: int,
                      signal: np.ndarray, chol: np.ndarray, a: np.ndarray,
                      eta: float) -> int:
+    """Count ``(z @ chol.T + signal) @ a > eta`` over the chunk's normals.
+
+    Every normal the sampler yields has |z| <= |ndtri(2**-53)| < _Z_REACH, so
+    a . y stays within a . signal +- _Z_REACH * sum_ij |a_i| |chol_ij|; the
+    slack covers the float error of a . y, which grows with the dimension.
+    A boundary beyond that reach decides the whole chunk without drawing it.
+    """
+    center = float(a @ signal)
+    reach = _Z_REACH * float(np.abs(a) @ np.abs(chol).sum(axis=1))
+    slack = (_GUARD * (a.size + 1)
+             * (reach + float(np.abs(a) @ np.abs(signal)) + abs(eta)))
+    if eta >= center + reach + slack:
+        return 0
+    if eta < center - reach - slack:
+        return size
     z = _chunk_normals(seed, hyp, chunk, (size, chol.shape[0]))
     y = z @ chol.T + signal
     return int(np.count_nonzero(y @ a > eta))
@@ -103,6 +174,8 @@ def mc_estimate(signals: SignalDesign, rule: ReceiverRule, noise: NoiseModel,
     observation, so their probabilities are exact and carry zero std error.
     """
     tx, rx = agents
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise SpecError("seed: must be a non-negative integer")
     if n < _MIN_SAMPLES:
         raise SpecError("n: at least 10000 samples required")
     m = n // 2

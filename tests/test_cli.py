@@ -280,6 +280,21 @@ def test_verify_degenerate_rule_is_exact(tmp_path):
     assert lines[2] == "risk_t analytic=0.75 empirical=0.75 stderr=0 ok"
 
 
+def test_verify_rejects_a_negative_seed():
+    code, out, err = run_cli(["verify", "--config", CONFIGS / "demo.json",
+                              "--concept", "stackelberg", "--seed", -1])
+    assert code == 2 and out == ""
+    assert err.strip() == "error: seed: must be a non-negative integer"
+
+
+@pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
+def test_verify_rejects_a_non_finite_eta_offset(offset):
+    code, out, err = run_cli(["verify", "--config", CONFIGS / "demo.json",
+                              "--concept", "stackelberg", f"--eta-offset={offset}"])
+    assert code == 2 and out == ""
+    assert err.strip() == "error: rule.eta: must be finite"
+
+
 def test_verify_output_is_byte_identical_across_runs_and_threads():
     argv = [sys.executable, "-m", "sigeq.cli", "verify",
             "--config", str(CONFIGS / "demo.json"), "--concept", "stackelberg",

@@ -137,6 +137,9 @@ def _covariance_with(bad: float) -> NoiseModel:
     ("p1", lambda bad: PeakPower(1.0, bad)),
     ("noise.sigma", lambda bad: NoiseModel.scalar(bad)),
     ("noise.covariance", _covariance_with),
+    ("rule.eta", lambda bad: ReceiverRule.threshold(1.0, bad)),
+    ("rule.a", lambda bad: ReceiverRule.threshold(bad, 0.0)),
+    ("rule.a", lambda bad: ReceiverRule.threshold(np.array([1.0, bad]), 0.0)),
 ])
 def test_non_finite_values_are_rejected_naming_the_field(field, build):
     for bad in (math.inf, -math.inf, math.nan):

@@ -2,14 +2,19 @@
 
 These are the independent checks the analytic solvers are validated against,
 so the tests here pin their determinism contract hard: fixed seeds map to
-fixed estimates, regardless of thread count or chunking.
+fixed estimates, regardless of thread count or chunking.  The estimator's
+chunk counts are held to a brute-force oracle that pushes every uniform of
+the chunk through the inverse CDF and the decision rule.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
+from sigeq import oracle
 from sigeq import (
     AgentParams,
     Concept,
@@ -136,6 +141,148 @@ def test_mc_validation():
             SignalDesign(np.array([-1.0, 0.0]), np.array([1.0, 0.0])),
             ReceiverRule.threshold(np.array([1.0]), 0.0), vec_noise,
             (DEMO_TX, DEMO_RX), 10_000, 1)
+
+
+# ---------------------------------------------------------------------------
+# chunk counts against the inverse-CDF oracle
+
+
+def _brute_uniforms(seed, hyp, chunk, shape):
+    gen = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed,
+                                                spawn_key=(hyp, chunk))))
+    u = gen.random(shape)
+    u[u == 0.0] = 2.0 ** -53
+    return u
+
+
+def _brute_count_scalar(u, signal, sigma, a, eta):
+    y = signal + sigma * ndtri(u)
+    return int(np.count_nonzero(a * y > eta))
+
+
+def _brute_count_vector(u, signal, chol, a, eta):
+    y = ndtri(u) @ chol.T + signal
+    return int(np.count_nonzero(y @ a > eta))
+
+
+def _near(value, rng):
+    """The value itself or one ulp to either side of it."""
+    step = int(rng.integers(-1, 2))
+    return float(np.nextafter(value, step * math.inf)) if step else float(value)
+
+
+def _chunk_key(rng):
+    return int(rng.integers(0, 2**31)), int(rng.integers(0, 2)), int(rng.integers(0, 31))
+
+
+def _scalar_case(rng):
+    seed, hyp, chunk = _chunk_key(rng)
+    size = int(rng.choice([1, 2, 32768, int(np.exp(rng.uniform(0.0, np.log(32768))))]))
+    signal = float(rng.uniform(-5.0, 5.0))
+    sigma = float(10.0 ** rng.uniform(-3.0, 2.0))
+    a = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0))
+    u = _brute_uniforms(seed, hyp, chunk, size)
+    mode = rng.integers(0, 4)
+    if mode == 0:    # on a sampled observation, as the rule computes it
+        k = int(rng.integers(0, size))
+        eta = _near(a * (signal + sigma * ndtri(u[k:k + 1]))[0], rng)
+    elif mode == 1:  # anywhere the sampler reaches
+        eta = a * (signal + sigma * float(rng.uniform(-9.0, 9.0)))
+    elif mode == 2:  # beyond the lattice's extreme normals
+        t = float(rng.choice([-1.0, 1.0]) * rng.uniform(8.21, 40.0))
+        eta = a * (signal + sigma * t)
+    else:            # on the lattice's extreme normals
+        eta = _near(a * (signal + sigma * rng.choice([-1.0, 1.0])
+                         * ndtri(np.array([2.0 ** -53])))[0], rng)
+    return (seed, hyp, chunk, size, signal, sigma, a, eta), u
+
+
+def test_scalar_counts_match_the_inverse_cdf_oracle():
+    rng = np.random.default_rng(20190611)
+    for _ in range(2000):
+        args, u = _scalar_case(rng)
+        assert oracle._count_h1_scalar(*args) == _brute_count_scalar(u, *args[4:]), args
+
+
+def test_scalar_counts_with_unbounded_guard_band():
+    # eta/a overflows, or |eta/a| + |signal| does: every sample takes the rule
+    cases = [(0.5, 1.0, a, eta) for a in (1e-300, -1e-300) for eta in (1e10, -1e10)]
+    cases += [(1e308, 1.0, 1.0, 1e308), (-1e308, 1e-3, -1.0, 1e308)]
+    for signal, sigma, a, eta in cases:
+        u = _brute_uniforms(3, 1, 2, 1000)
+        args = (3, 1, 2, 1000, signal, sigma, a, eta)
+        assert oracle._count_h1_scalar(*args) == _brute_count_scalar(u, *args[4:])
+
+
+def _vector_case(rng):
+    seed, hyp, chunk = _chunk_key(rng)
+    size = int(rng.choice([1, 32768, int(np.exp(rng.uniform(0.0, np.log(32768))))]))
+    dim = int(rng.integers(1, 5))
+    b = rng.normal(size=(dim, dim)) * 10.0 ** rng.uniform(-2.0, 1.0)
+    chol = np.linalg.cholesky(b @ b.T + float(rng.uniform(1e-3, 1.0)) * np.eye(dim))
+    signal = rng.uniform(-5.0, 5.0, dim)
+    a = rng.normal(size=dim) * 10.0 ** rng.uniform(-2.0, 2.0)
+    u = _brute_uniforms(seed, hyp, chunk, (size, dim))
+    center = float(a @ signal)
+    # the largest |a . (y - signal)| any lattice normal can produce
+    extreme = float(-ndtri(2.0 ** -53)) * float(np.abs(a) @ np.abs(chol).sum(axis=1))
+    side = float(rng.choice([-1.0, 1.0]))
+    mode = rng.integers(0, 4)
+    if mode == 0:    # on a sampled observation, as the rule computes it
+        k = int(rng.integers(0, size))
+        eta = _near(((ndtri(u[k:k + 1]) @ chol.T + signal) @ a)[0], rng)
+    elif mode == 1:  # within a few standard deviations
+        eta = center + float(rng.normal()) * 3.0 * float(np.linalg.norm(chol.T @ a))
+    elif mode == 2:  # past the lattice's reach, inside the shortcut's margin
+        eta = center + side * extreme * float(rng.uniform(1.0, 1.004))
+    else:            # beyond the shortcut's reach
+        eta = center + side * extreme * float(rng.uniform(1.006, 3.0))
+    return (seed, hyp, chunk, size, signal, chol, a, eta), u
+
+
+def test_vector_counts_match_the_inverse_cdf_oracle():
+    rng = np.random.default_rng(1983)
+    for _ in range(600):
+        args, u = _vector_case(rng)
+        assert oracle._count_h1_vector(*args) == _brute_count_vector(u, *args[4:]), args
+
+
+def test_counts_at_the_ends_of_the_uniform_lattice(monkeypatch):
+    # chunks made of the sampler's most extreme uniforms, with the boundary
+    # placed on each of their observations and one ulp to either side
+    k = np.arange(1.0, 33.0)
+    u = np.concatenate([k * 2.0 ** -53, 1.0 - k * 2.0 ** -53, [0.5]])
+    monkeypatch.setattr(oracle, "_chunk_uniforms",
+                        lambda seed, hyp, chunk, shape: u.reshape(shape).copy())
+    rng = np.random.default_rng(5)
+    for signal, sigma, a in ((0.0, 1.0, 1.0), (0.3, 0.01, -2.0), (-4.0, 50.0, 0.5)):
+        for y in signal + sigma * ndtri(u):
+            eta = _near(a * y, rng)
+            assert (oracle._count_h1_scalar(0, 0, 0, u.size, signal, sigma, a, eta)
+                    == _brute_count_scalar(u, signal, sigma, a, eta))
+    chol = np.array([[0.1]])
+    for a in (np.array([200.0]), np.array([-3.0])):
+        for obs in (ndtri(u)[:, None] @ chol.T + 1.0) @ a:
+            eta = _near(obs, rng)
+            assert (oracle._count_h1_vector(0, 0, 0, u.size, np.array([1.0]), chol, a, eta)
+                    == _brute_count_vector(u[:, None], np.array([1.0]), chol, a, eta))
+
+
+def test_guard_constants_cover_the_special_function_errors():
+    # the exactness argument in _count_h1_scalar rests on these bounds
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(-9.0, 9.0, 300)
+    with mpmath.workdps(40):
+        ndtr_err = max(abs(mpmath.mpf(float(ndtr(x))) - mpmath.ncdf(x)) for x in xs)
+        us = np.concatenate([rng.integers(1, 2**53, 200), rng.integers(1, 2**20, 50),
+                             2**53 - rng.integers(1, 2**20, 50)]) * 2.0 ** -53
+        ndtri_err = max(abs(mpmath.mpf(float(ndtri(v)))
+                            - mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(v) - 1))
+                        for v in us)
+    assert 0.0 < ndtr_err <= oracle._U_PAD
+    assert ndtri_err <= oracle._GUARD / 100
+    assert -ndtri(2.0 ** -53) == ndtri(1.0 - 2.0 ** -53) < oracle._Z_REACH
 
 
 # ---------------------------------------------------------------------------
