@@ -43,6 +43,7 @@ from .equilibrium import (
     Concept,
     EquilibriumReport,
     Existence,
+    _solve,
     informative_risks,
     separation_levels,
 )
@@ -94,27 +95,12 @@ __version__ = "0.1.0"
 
 
 def solve(spec: GameSpec, concept: Concept) -> EquilibriumReport:
-    """Solve ``spec`` under ``concept``, routing on channel and budget form."""
-    if isinstance(spec.power, AveragePower):
-        if not spec.noise.is_scalar:
-            raise SpecError(
-                "power: the average-power budget is defined for scalar channels only"
-            )
-        table = {
-            Concept.TEAM: solve_team_avg,
-            Concept.STACKELBERG: solve_stackelberg_avg,
-            Concept.NASH: solve_nash_avg,
-        }
-    elif spec.noise.is_scalar:
-        table = {
-            Concept.TEAM: solve_team,
-            Concept.STACKELBERG: solve_stackelberg,
-            Concept.NASH: solve_nash,
-        }
-    else:
-        table = {
-            Concept.TEAM: solve_team_vec,
-            Concept.STACKELBERG: solve_stackelberg_vec,
-            Concept.NASH: solve_nash_vec,
-        }
-    return table[Concept(concept)](spec)
+    """Solve ``spec`` under ``concept`` on whichever channel it uses."""
+    if isinstance(spec.power, AveragePower) and not spec.noise.is_scalar:
+        raise SpecError(
+            "power: the average-power budget is defined for scalar channels only"
+        )
+    concept = Concept(concept)
+    if concept is Concept.TEAM:
+        require_identical_agents(spec)
+    return _solve(spec, concept)

@@ -21,6 +21,7 @@ from scipy.special import erfc
 from .detection import (
     AgentParams,
     AveragePower,
+    DerivedQuantities,
     GameSpec,
     NoiseModel,
     ReceiverRule,
@@ -29,7 +30,6 @@ from .detection import (
     SpecError,
     _sign,
     check_power,
-    derived_quantities,
     optimal_receiver_rule,
     risk_pair,
 )
@@ -37,12 +37,12 @@ from .equilibrium import (
     Concept,
     EquilibriumReport,
     Existence,
+    _Choice,
+    _informative_report,
+    _solve,
     babbling_report,
-    degenerate_receiver_report,
-    informative_risks,
 )
-from .nash import _plain_label, _xi_signs
-from .stackelberg import classify_transmitter_preference
+from .nash import _xi_label, _xi_signs
 from .team import require_identical_agents
 
 __all__ = [
@@ -84,72 +84,33 @@ def _require_scalar_avg(spec: GameSpec) -> None:
         raise SpecError("power: expected an average-power budget")
 
 
-def _scaled_extreme_pair(spec: GameSpec, zeta: int, scale: float) -> SignalDesign:
+def _place_avg(spec: GameSpec, dq: DerivedQuantities,
+               choice: _Choice) -> tuple[SignalDesign, float]:
+    """The extreme pair, shrunk toward the origin to separation d*.
+
+    The budget stays feasible and the separation scales linearly.
+    """
+    # at the full budget, even an overflowed d_max = inf, the extreme pair itself
+    scale = choice.d_star / dq.d_max if choice.d_star < dq.d_max else 1.0
     base = max_separation_signals(spec.transmitter.prior0,
                                   spec.transmitter.prior1,
                                   spec.power.p_avg)
-    signals = SignalDesign(zeta * scale * base.s0, zeta * scale * base.s1)
+    signals = SignalDesign(dq.zeta * scale * base.s0, dq.zeta * scale * base.s1)
     check_power(signals, spec.power, spec.transmitter)
-    return signals
+    return signals, choice.d_star
 
 
 def solve_team_avg(spec: GameSpec) -> EquilibriumReport:
     """Jointly optimal design under an average-power budget."""
     require_identical_agents(spec)
     _require_scalar_avg(spec)
-    dq = derived_quantities(spec)
-    if not dq.tau.is_finite:
-        return degenerate_receiver_report(Concept.TEAM, spec, dq)
-    tau = dq.tau.finite_value()
-    signals = _scaled_extreme_pair(spec, dq.zeta, 1.0)
-    rule = optimal_receiver_rule(signals, spec.receiver, spec.noise)
-    risk_t, risk_r = informative_risks(spec.transmitter, spec.receiver,
-                                       dq.d_max, tau, dq.zeta)
-    return EquilibriumReport(
-        concept=Concept.TEAM,
-        case_label="informative",
-        informative=True,
-        d_star=dq.d_max,
-        d_max=dq.d_max,
-        signals=signals,
-        rule=rule,
-        risk_t=risk_t,
-        risk_r=risk_r,
-        existence=Existence.EXISTS,
-    )
+    return _solve(spec, Concept.TEAM)
 
 
 def solve_stackelberg_avg(spec: GameSpec) -> EquilibriumReport:
-    """Leader-follower solution under an average-power budget.
-
-    Interior optima are realized by shrinking the extreme pair toward the
-    origin; the budget stays feasible and the separation scales linearly.
-    """
+    """Leader-follower solution under an average-power budget."""
     _require_scalar_avg(spec)
-    dq = derived_quantities(spec)
-    if not dq.tau.is_finite:
-        return degenerate_receiver_report(Concept.STACKELBERG, spec, dq)
-    tau = dq.tau.finite_value()
-    pref = classify_transmitter_preference(dq.k0, dq.k1, tau, dq.d_max)
-    if pref.d_star == 0.0:
-        return babbling_report(Concept.STACKELBERG, spec, dq, pref.case_label,
-                               Existence.EXISTS)
-    signals = _scaled_extreme_pair(spec, dq.zeta, pref.d_star / dq.d_max)
-    rule = optimal_receiver_rule(signals, spec.receiver, spec.noise)
-    risk_t, risk_r = informative_risks(spec.transmitter, spec.receiver,
-                                       pref.d_star, tau, dq.zeta)
-    return EquilibriumReport(
-        concept=Concept.STACKELBERG,
-        case_label=pref.case_label,
-        informative=True,
-        d_star=pref.d_star,
-        d_max=dq.d_max,
-        signals=signals,
-        rule=rule,
-        risk_t=risk_t,
-        risk_r=risk_r,
-        existence=Existence.EXISTS,
-    )
+    return _solve(spec, Concept.STACKELBERG)
 
 
 _curve_cache: tuple = ()  # (key, xs, ys) of the last budget curve built
@@ -316,14 +277,16 @@ def solve_nash_avg(spec: GameSpec) -> EquilibriumReport:
     under the same formula: the free signal carries no risk and stays at 0.
     """
     _require_scalar_avg(spec)
-    dq = derived_quantities(spec)
-    if not dq.tau.is_finite:
-        return degenerate_receiver_report(Concept.NASH, spec, dq)
-    tau = dq.tau.finite_value()
+    return _solve(spec, Concept.NASH)
+
+
+def _nash_avg_report(spec: GameSpec, dq: DerivedQuantities) -> EquilibriumReport:
+    """``solve_nash_avg`` once the solve pipeline has derived a finite tau."""
+    tau = dq.tau.value
     tx = spec.transmitter
     fa, miss = tx.false_alarm_margin, tx.miss_margin
     sx0, sx1 = _xi_signs(tx, dq.zeta)
-    label = _plain_label(sx0, sx1)
+    label = _xi_label(sx0, sx1)
     if fa == 0.0 and miss == 0.0:
         # an indifferent transmitter settles on coincident signals
         return babbling_report(Concept.NASH, spec, dq, label, Existence.EXISTS)
@@ -345,15 +308,6 @@ def solve_nash_avg(spec: GameSpec) -> EquilibriumReport:
                                Existence.ONLY_DEGENERATE)
     if sx0 * sx1 < 0:
         label += " x*<rootP" if x < math.sqrt(spec.power.p_avg) else " x*>=rootP"
-    return EquilibriumReport(
-        concept=Concept.NASH,
-        case_label=label,
-        informative=True,
-        d_star=abs(signals.s1 - signals.s0) / spec.noise.sigma,
-        d_max=dq.d_max,
-        signals=signals,
-        rule=rule,
-        risk_t=risk_t,
-        risk_r=risk_r,
-        existence=Existence.EXISTS,
-    )
+    return _informative_report(Concept.NASH, dq, label, signals, rule,
+                               abs(signals.s1 - signals.s0) / spec.noise.sigma,
+                               (risk_t, risk_r))

@@ -25,13 +25,13 @@ from .detection import (
     ReceiverRule,
     RuleKind,
     SpecError,
+    _fixed_error_probs,
     bayes_risk,
-    conditional_error_probs,
     derived_quantities,
     prior_only_rule,
     rule_error_probs,
 )
-from .equilibrium import Concept
+from .equilibrium import Concept, informative_risks
 from .nash import OutcomeKind, best_response_dynamics
 from .oracle import mc_estimate
 from .stackelberg import (
@@ -232,30 +232,27 @@ def _emit(lines: list[str], csv_path: str | None) -> None:
 def cmd_solve(args) -> int:
     spec = load_spec(args.config)
     report = solve_game(spec, Concept(args.concept))
-    print(f"concept: {report.concept.value}")
-    print(f"case: {report.case_label}")
-    print(f"informative: {_fmt(report.informative)}")
-    print(f"existence: {report.existence.value}")
-    print(f"d_star: {_fmt(report.d_star)}")
-    print(f"d_max: {_fmt(report.d_max)}")
-    print(f"s0: {_fmt(report.signals.s0)}")
-    print(f"s1: {_fmt(report.signals.s1)}")
-    print(f"rule: {report.rule.kind.value}")
-    print(f"rule_a: {_fmt(report.rule.a)}")
-    print(f"rule_eta: {_fmt(report.rule.eta)}")
-    print(f"risk_t: {_fmt(report.risk_t)}")
-    print(f"risk_r: {_fmt(report.risk_r)}")
+    fields = (
+        ("concept", report.concept.value),
+        ("case", report.case_label),
+        ("informative", _fmt(report.informative)),
+        ("existence", report.existence.value),
+        ("d_star", _fmt(report.d_star)),
+        ("d_max", _fmt(report.d_max)),
+        ("s0", _fmt(report.signals.s0)),
+        ("s1", _fmt(report.signals.s1)),
+        ("rule", report.rule.kind.value),
+        ("rule_a", _fmt(report.rule.a)),
+        ("rule_eta", _fmt(report.rule.eta)),
+        ("risk_t", _fmt(report.risk_t)),
+        ("risk_r", _fmt(report.risk_r)),
+    )
+    for name, value in fields:
+        print(f"{name}: {value}")
     if args.csv is not None:
-        header = ("concept,case,informative,existence,d_star,d_max,"
-                  "s0,s1,rule_kind,rule_a,rule_eta,risk_t,risk_r")
-        row = ",".join([
-            report.concept.value, report.case_label, _fmt(report.informative),
-            report.existence.value, _fmt(report.d_star), _fmt(report.d_max),
-            _fmt(report.signals.s0), _fmt(report.signals.s1),
-            report.rule.kind.value, _fmt(report.rule.a), _fmt(report.rule.eta),
-            _fmt(report.risk_t), _fmt(report.risk_r),
-        ])
-        _emit([header, row], args.csv)
+        # the CSV column of the rule's kind is named rule_kind
+        header = ",".join("rule_kind" if name == "rule" else name for name, _ in fields)
+        _emit([header, ",".join(value for _, value in fields)], args.csv)
     return 0
 
 
@@ -270,12 +267,12 @@ def _fixed_d_rows(spec: GameSpec, values: np.ndarray) -> list[str]:
     for v in values:
         v = float(v)
         if v == 0.0:
-            rule = prior_only_rule(tau, dq.zeta)
-            p10, p01 = (1.0, 0.0) if rule.kind is RuleKind.ALWAYS_H1 else (0.0, 1.0)
+            p10, p01 = _fixed_error_probs(prior_only_rule(tau, dq.zeta))
+            risk_t = bayes_risk(spec.transmitter, p10, p01)
+            risk_r = bayes_risk(spec.receiver, p10, p01)
         else:
-            p10, p01 = conditional_error_probs(v, tau, dq.zeta)
-        risk_t = bayes_risk(spec.transmitter, p10, p01)
-        risk_r = bayes_risk(spec.receiver, p10, p01)
+            risk_t, risk_r = informative_risks(spec.transmitter, spec.receiver,
+                                               v, tau, dq.zeta)
         rows.append(",".join(["d", _fmt(v), _fmt(v), _fmt(risk_t),
                               _fmt(risk_r), "fixed"]))
     return rows

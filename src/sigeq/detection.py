@@ -27,7 +27,7 @@ applied to cost margins.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -166,11 +166,13 @@ class NoiseModel:
 
     Exactly one of ``sigma`` / ``covariance`` is set.  Values must be finite;
     a covariance must be square, symmetric within 1e-12 elementwise, and
-    positive definite.
+    positive definite.  ``min_eigenvalue`` keeps the covariance's smallest
+    eigenvalue from that check (None for scalar noise).
     """
 
     sigma: float | None = None
     covariance: np.ndarray | None = None
+    min_eigenvalue: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if (self.sigma is None) == (self.covariance is None):
@@ -191,10 +193,12 @@ class NoiseModel:
             raise SpecError("noise.covariance: entries must be finite")
         if np.max(np.abs(cov - cov.T)) > _SYMMETRY_TOL:
             raise SpecError("noise.covariance: must be symmetric within 1e-12")
-        if float(np.linalg.eigvalsh(cov)[0]) <= 0.0:
+        lam = float(np.linalg.eigvalsh(cov)[0])
+        if lam <= 0.0:
             raise SpecError("noise.covariance: must be positive definite")
         cov.setflags(write=False)
         object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "min_eigenvalue", lam)
 
     @classmethod
     def scalar(cls, sigma: float) -> "NoiseModel":
@@ -355,8 +359,7 @@ def d_max_of(spec: GameSpec) -> float:
         reach = math.sqrt(spec.power.p0) + math.sqrt(spec.power.p1)
         if spec.noise.is_scalar:
             return reach / spec.noise.sigma
-        lam = float(np.linalg.eigvalsh(spec.noise.covariance)[0])
-        return reach / math.sqrt(lam)
+        return reach / math.sqrt(spec.noise.min_eigenvalue)
     if not spec.noise.is_scalar:
         raise SpecError("power: the average-power budget is defined for scalar channels only")
     tx = spec.transmitter
@@ -364,21 +367,26 @@ def d_max_of(spec: GameSpec) -> float:
     return math.sqrt(scale * spec.power.p_avg) / spec.noise.sigma
 
 
+def _threshold_ratio(receiver: AgentParams) -> Tau:
+    """The receiver's likelihood-ratio threshold pi0 (C10 - C00) / (pi1 (C01 - C11)).
+
+    Its kind follows the computed ratio, so a ratio that underflows to 0 is
+    NONPOSITIVE even where both margins share a strict sign.
+    """
+    num = receiver.prior0 * receiver.false_alarm_margin
+    den = receiver.prior1 * receiver.miss_margin
+    if den != 0.0:
+        ratio = num / den
+        return Tau(TauKind.FINITE if ratio > 0.0 else TauKind.NONPOSITIVE, ratio)
+    if num != 0.0:
+        return Tau(TauKind.INFINITE)
+    return Tau(TauKind.INDIFFERENT)
+
+
 def derived_quantities(spec: GameSpec) -> DerivedQuantities:
     rx = spec.receiver
     tx = spec.transmitter
-    num = rx.prior0 * rx.false_alarm_margin
-    den = rx.prior1 * rx.miss_margin
-    if den != 0.0:
-        ratio = num / den
-        if ratio > 0.0:
-            tau = Tau(TauKind.FINITE, ratio)
-        else:
-            tau = Tau(TauKind.NONPOSITIVE, ratio)
-    elif num != 0.0:
-        tau = Tau(TauKind.INFINITE)
-    else:
-        tau = Tau(TauKind.INDIFFERENT)
+    tau = _threshold_ratio(rx)
     zeta = _sign(rx.miss_margin)
     if tau.is_finite:
         k0 = tx.prior0 * zeta * tx.false_alarm_margin * tau.value ** -0.5
@@ -463,6 +471,14 @@ class ReceiverRule:
             return self
         norm = self._direction_norm()
         return ReceiverRule(RuleKind.THRESHOLD, self.a / norm, self.eta / norm)
+
+
+# the rule of each receiver case that ignores the observation
+_FIXED_RULES = {
+    ReceiverCase.ALWAYS_H0: ReceiverRule.always_h0(),
+    ReceiverCase.ALWAYS_H1: ReceiverRule.always_h1(),
+    ReceiverCase.INDIFFERENT: ReceiverRule.indifferent(),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -584,15 +600,9 @@ def optimal_receiver_rule(signals: SignalDesign, receiver: AgentParams,
                           noise: NoiseModel) -> ReceiverRule:
     """Best response of the receiver to a known signal pair."""
     case = receiver_case(receiver)
-    if case is ReceiverCase.ALWAYS_H0:
-        return ReceiverRule.always_h0()
-    if case is ReceiverCase.ALWAYS_H1:
-        return ReceiverRule.always_h1()
-    if case is ReceiverCase.INDIFFERENT:
-        return ReceiverRule.indifferent()
-    tau = (receiver.prior0 * receiver.false_alarm_margin) / (
-        receiver.prior1 * receiver.miss_margin
-    )
+    if case is not ReceiverCase.LRT:
+        return _FIXED_RULES[case]
+    tau = _threshold_ratio(receiver).value
     zeta = _sign(receiver.miss_margin)
     if signals.coincident:
         return prior_only_rule(tau, zeta)
@@ -609,17 +619,20 @@ def optimal_receiver_rule(signals: SignalDesign, receiver: AgentParams,
     return ReceiverRule.threshold(zeta * w, eta)
 
 
+def _fixed_error_probs(rule: ReceiverRule) -> tuple[float, float]:
+    """(P10, P01) of a degenerate rule, which ignores the observation.
+
+    INDIFFERENT is scored as ALWAYS_H0 (the canonical choice for risk
+    accounting).
+    """
+    return (1.0, 0.0) if rule.kind is RuleKind.ALWAYS_H1 else (0.0, 1.0)
+
+
 def rule_error_probs(signals: SignalDesign, rule: ReceiverRule,
                      noise: NoiseModel) -> tuple[float, float]:
-    """(P10, P01) of an arbitrary rule applied to a signal pair.
-
-    Degenerate rules ignore the observation; INDIFFERENT is scored as
-    ALWAYS_H0 (the canonical choice for risk accounting).
-    """
-    if rule.kind is RuleKind.ALWAYS_H1:
-        return 1.0, 0.0
+    """(P10, P01) of an arbitrary rule applied to a signal pair."""
     if rule.kind is not RuleKind.THRESHOLD:
-        return 0.0, 1.0
+        return _fixed_error_probs(rule)
     if noise.is_scalar:
         if isinstance(signals.s0, np.ndarray):
             raise SpecError("signals: vector signals need a covariance noise model")

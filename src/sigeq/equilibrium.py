@@ -1,21 +1,39 @@
-"""Equilibrium report type shared by all solvers, plus common report builders."""
+"""The solve pipeline every concept and channel share, and its report type.
+
+The receiver always plays the matched threshold rule, so each concept comes
+down to a choice of the normalized distance d.  Every solve derives the
+game's scalars and, if tau is not finite, reports the degenerate rule.  Else
+the concept's chooser picks a case label, an existence tag and d* (team:
+d_max; leader-follower: ``classify_transmitter_preference``) or, for Nash,
+the full-power levels of its sign analysis.  The coincident pair gets the
+prior-only report; any other pair is placed by the channel's realizer
+(scalar peak, vector peak or average power), and its rule matched and report
+filled.  Nash under an average-power budget has its own budget split and
+certification after the first step (see ``solve_nash_avg``).
+"""
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .detection import (
     AgentParams,
+    AveragePower,
     DerivedQuantities,
     GameSpec,
+    PeakPower,
     ReceiverCase,
     ReceiverRule,
     SignalDesign,
     SpecError,
+    _FIXED_RULES,
     bayes_risk,
     conditional_error_probs,
+    derived_quantities,
+    optimal_receiver_rule,
     prior_only_rule,
     receiver_case,
     risk_pair,
@@ -87,12 +105,6 @@ def separation_levels(zeta: int, p0: float, p1: float, d_star: float,
     return zeta * u0, zeta * (u0 + gap)
 
 
-def _zero_signals(spec: GameSpec) -> SignalDesign:
-    if spec.noise.is_scalar:
-        return SignalDesign(0.0, 0.0)
-    return SignalDesign(np.zeros(spec.dimension), np.zeros(spec.dimension))
-
-
 def degenerate_receiver_report(concept: Concept, spec: GameSpec,
                                dq: DerivedQuantities) -> EquilibriumReport:
     """Report for games whose receiver ignores the observation outright.
@@ -101,27 +113,10 @@ def degenerate_receiver_report(concept: Concept, spec: GameSpec,
     case, every signal pair is equivalent, and the zero pair is reported.
     """
     case = receiver_case(spec.receiver)
-    rule = {
-        ReceiverCase.ALWAYS_H0: ReceiverRule.always_h0(),
-        ReceiverCase.ALWAYS_H1: ReceiverRule.always_h1(),
-        ReceiverCase.INDIFFERENT: ReceiverRule.indifferent(),
-    }.get(case)
-    if rule is None:
+    if case is ReceiverCase.LRT:
         raise SpecError("tau: finite threshold games have no degenerate receiver")
-    signals = _zero_signals(spec)
-    risk_t, risk_r = risk_pair(spec.transmitter, spec.receiver, signals, rule, spec.noise)
-    return EquilibriumReport(
-        concept=concept,
-        case_label="degenerate",
-        informative=False,
-        d_star=0.0,
-        d_max=dq.d_max,
-        signals=signals,
-        rule=rule,
-        risk_t=risk_t,
-        risk_r=risk_r,
-        existence=Existence.EXISTS,
-    )
+    return _zero_pair_report(concept, spec, dq, "degenerate", Existence.EXISTS,
+                             _FIXED_RULES[case])
 
 
 def babbling_report(concept: Concept, spec: GameSpec, dq: DerivedQuantities,
@@ -132,7 +127,16 @@ def babbling_report(concept: Concept, spec: GameSpec, dq: DerivedQuantities,
     zero signal pair is the canonical representative.
     """
     rule = prior_only_rule(dq.tau.finite_value(), dq.zeta)
-    signals = _zero_signals(spec)
+    return _zero_pair_report(concept, spec, dq, case_label, existence, rule)
+
+
+def _zero_pair_report(concept: Concept, spec: GameSpec, dq: DerivedQuantities,
+                      case_label: str, existence: Existence,
+                      rule: ReceiverRule) -> EquilibriumReport:
+    if spec.noise.is_scalar:
+        signals = SignalDesign(0.0, 0.0)
+    else:
+        signals = SignalDesign(np.zeros(spec.dimension), np.zeros(spec.dimension))
     risk_t, risk_r = risk_pair(spec.transmitter, spec.receiver, signals, rule, spec.noise)
     return EquilibriumReport(
         concept=concept,
@@ -146,3 +150,101 @@ def babbling_report(concept: Concept, spec: GameSpec, dq: DerivedQuantities,
         risk_r=risk_r,
         existence=existence,
     )
+
+
+# ---------------------------------------------------------------------------
+# the pipeline
+
+
+class _Choice(NamedTuple):
+    """A chooser's answer.  With neither ``d_star`` nor ``levels`` set it is
+    the coincident pair; ``levels`` are the (u0, u1) Nash settles on, in
+    units of the channel's canonical axis."""
+
+    label: str
+    existence: Existence
+    d_star: float | None = None
+    levels: tuple[float, float] | None = None
+
+
+def _require_scalar_peak(spec: GameSpec, solver: str) -> None:
+    """Channel guard of the scalar peak-power entry point named ``solver``."""
+    if not spec.noise.is_scalar:
+        raise SpecError(f"noise: vector games are solved by {solver}_vec")
+    if not isinstance(spec.power, PeakPower):
+        raise SpecError(f"power: average-power games are solved by {solver}_avg")
+
+
+def _peak_levels(power: PeakPower, zeta: int, choice: _Choice,
+                 sigma_eff: float) -> tuple[tuple[float, float], float]:
+    """Signal levels on an axis with noise scale ``sigma_eff``, and their d*."""
+    if choice.levels is None:
+        return separation_levels(zeta, power.p0, power.p1, choice.d_star,
+                                 sigma_eff), choice.d_star
+    u0, u1 = choice.levels
+    return choice.levels, abs(u1 - u0) / sigma_eff
+
+
+def _place_scalar_peak(spec: GameSpec, dq: DerivedQuantities,
+                       choice: _Choice) -> tuple[SignalDesign, float]:
+    (u0, u1), d_star = _peak_levels(spec.power, dq.zeta, choice, spec.noise.sigma)
+    return SignalDesign(u0, u1), d_star
+
+
+def _solve(spec: GameSpec, concept: Concept) -> EquilibriumReport:
+    """Solve ``spec`` under ``concept``; the caller has checked the channel
+    and, for team play, that the agents are identical."""
+    dq = derived_quantities(spec)
+    if not dq.tau.is_finite:
+        return degenerate_receiver_report(concept, spec, dq)
+    if isinstance(spec.power, AveragePower):
+        if concept is Concept.NASH:
+            return _nash_avg_report(spec, dq)
+        place = _place_avg
+    elif spec.noise.is_scalar:
+        place = _place_scalar_peak
+    else:
+        place = _place_vector_peak
+    tau = dq.tau.value
+    if concept is Concept.TEAM:
+        choice = _Choice("informative", Existence.EXISTS, dq.d_max)
+    elif concept is Concept.STACKELBERG:
+        pref = classify_transmitter_preference(dq.k0, dq.k1, tau, dq.d_max)
+        choice = _Choice(pref.case_label, Existence.EXISTS,
+                         pref.d_star if pref.d_star != 0.0 else None)
+    else:
+        choice = _nash_choice(spec.transmitter, spec.power, dq.zeta)
+    if choice.d_star is None and choice.levels is None:
+        return babbling_report(concept, spec, dq, choice.label, choice.existence)
+    signals, d_star = place(spec, dq, choice)
+    rule = optimal_receiver_rule(signals, spec.receiver, spec.noise)
+    risks = informative_risks(spec.transmitter, spec.receiver, d_star, tau, dq.zeta)
+    return _informative_report(concept, dq, choice.label, signals, rule, d_star, risks)
+
+
+def _informative_report(concept: Concept, dq: DerivedQuantities, case_label: str,
+                        signals: SignalDesign, rule: ReceiverRule, d_star: float,
+                        risks: tuple[float, float]) -> EquilibriumReport:
+    """Report of an informative pair, which is always an equilibrium."""
+    risk_t, risk_r = risks
+    return EquilibriumReport(
+        concept=concept,
+        case_label=case_label,
+        informative=True,
+        d_star=d_star,
+        d_max=dq.d_max,
+        signals=signals,
+        rule=rule,
+        risk_t=risk_t,
+        risk_r=risk_r,
+        existence=Existence.EXISTS,
+    )
+
+
+# The choosers and realizers live with their concepts and channels, whose
+# modules import this one for the report type and the pipeline; so they are
+# bound here, once everything above is defined.
+from .stackelberg import classify_transmitter_preference  # noqa: E402
+from .nash import _nash_choice  # noqa: E402
+from .vector import _place_vector_peak  # noqa: E402
+from .avgpower import _nash_avg_report, _place_avg  # noqa: E402

@@ -9,6 +9,10 @@ is larger: sign(xi1) sqrt(P1) + sign(xi0) sqrt(P0) > 0 is required for an
 informative fixed point.  The coincident-signal outcome (prior-only rule,
 direction 0) is an equilibrium in every game with a finite tau, and is the
 only one when the consistency condition fails.
+
+That sign analysis (``_nash_choice``) is the Nash chooser of the solve
+pipeline in ``equilibrium`` on both peak-power channels; the average-power
+game shares its xi signs and ``xi(., .)`` label.
 """
 
 import math
@@ -25,6 +29,8 @@ from .detection import (
     RuleKind,
     SignalDesign,
     SpecError,
+    _sign,
+    _threshold_ratio,
     derived_quantities,
     optimal_receiver_rule,
     rules_equal,
@@ -34,9 +40,9 @@ from .equilibrium import (
     Concept,
     EquilibriumReport,
     Existence,
-    babbling_report,
-    degenerate_receiver_report,
-    informative_risks,
+    _Choice,
+    _require_scalar_peak,
+    _solve,
 )
 from .stackelberg import Perturbation, ScanEntry, _scan_entries
 from .team import require_identical_agents
@@ -53,14 +59,7 @@ __all__ = [
 ]
 
 _CYCLE_TOL = 1e-12
-
-
-def _sign(x: float) -> int:
-    if x > 0.0:
-        return 1
-    if x < 0.0:
-        return -1
-    return 0
+_SIGN_MARKS = {1: "+", 0: "0", -1: "-"}
 
 
 def best_response_transmitter(rule: ReceiverRule, transmitter: AgentParams,
@@ -82,9 +81,7 @@ def best_response_transmitter(rule: ReceiverRule, transmitter: AgentParams,
 def best_response_receiver(signals: SignalDesign, receiver: AgentParams,
                            noise: NoiseModel) -> ReceiverRule:
     """Optimal rule against a known pair; requires a finite threshold ratio."""
-    if not derived_quantities(
-        GameSpec(receiver, receiver, noise, PeakPower(1.0, 1.0), noise.dimension)
-    ).tau.is_finite:
+    if not _threshold_ratio(receiver).is_finite:
         raise SpecError("tau: receiver best response needs a finite threshold ratio")
     return optimal_receiver_rule(signals, receiver, noise)
 
@@ -97,70 +94,38 @@ def _xi_signs(transmitter: AgentParams, zeta: int) -> tuple[int, int]:
     )
 
 
-def _mixed_label(sx0: int, sx1: int, p0: float, p1: float) -> str:
-    cmp = "p0<p1" if p0 < p1 else ("p0>p1" if p0 > p1 else "p0=p1")
-    def fmt(s: int) -> str:
-        return {1: "+", 0: "0", -1: "-"}[s]
-    return f"xi({fmt(sx0)},{fmt(sx1)}) {cmp}"
+def _xi_label(sx0: int, sx1: int) -> str:
+    return f"xi({_SIGN_MARKS[sx0]},{_SIGN_MARKS[sx1]})"
 
 
-def _plain_label(sx0: int, sx1: int) -> str:
-    def fmt(s: int) -> str:
-        return {1: "+", 0: "0", -1: "-"}[s]
-    return f"xi({fmt(sx0)},{fmt(sx1)})"
+def _nash_choice(transmitter: AgentParams, power: PeakPower, zeta: int) -> _Choice:
+    """Nash outcome of a peak-power game with a finite tau, by the xi signs."""
+    sx0, sx1 = _xi_signs(transmitter, zeta)
+    label = _xi_label(sx0, sx1)
+    if sx0 == 0 or sx1 == 0:
+        # an indifferent transmitter settles on coincident signals
+        return _Choice(label, Existence.EXISTS)
+    if sx0 < 0 and sx1 < 0:
+        return _Choice(label, Existence.ONLY_DEGENERATE)
+    p0, p1 = power.p0, power.p1
+    root0 = math.sqrt(p0)
+    root1 = math.sqrt(p1)
+    if sx0 != sx1:
+        label += " p0<p1" if p0 < p1 else (" p0>p1" if p0 > p1 else " p0=p1")
+        consistency = sx1 * root1 + sx0 * root0
+        if consistency == 0.0:
+            # mutual best responses force coincident signals
+            return _Choice(label, Existence.EXISTS)
+        if consistency < 0.0:
+            return _Choice(label, Existence.ONLY_DEGENERATE)
+    return _Choice(label, Existence.EXISTS,
+                   levels=(-zeta * sx0 * root0, zeta * sx1 * root1))
 
 
 def solve_nash(spec: GameSpec) -> EquilibriumReport:
     """Equilibrium classification of a scalar peak-power game."""
-    if not spec.noise.is_scalar:
-        raise SpecError("noise: vector games are solved by solve_nash_vec")
-    if not isinstance(spec.power, PeakPower):
-        raise SpecError("power: average-power games are solved by solve_nash_avg")
-    dq = derived_quantities(spec)
-    if not dq.tau.is_finite:
-        return degenerate_receiver_report(Concept.NASH, spec, dq)
-    tau = dq.tau.finite_value()
-    sx0, sx1 = _xi_signs(spec.transmitter, dq.zeta)
-    p0, p1 = spec.power.p0, spec.power.p1
-    if sx0 == 0 or sx1 == 0:
-        # an indifferent transmitter settles on coincident signals
-        return babbling_report(Concept.NASH, spec, dq, _plain_label(sx0, sx1),
-                               Existence.EXISTS)
-    if sx0 < 0 and sx1 < 0:
-        return babbling_report(Concept.NASH, spec, dq, _plain_label(sx0, sx1),
-                               Existence.ONLY_DEGENERATE)
-    root0 = math.sqrt(p0)
-    root1 = math.sqrt(p1)
-    consistency = sx1 * root1 + sx0 * root0
-    if sx0 > 0 and sx1 > 0:
-        label = _plain_label(sx0, sx1)
-    else:
-        label = _mixed_label(sx0, sx1, p0, p1)
-        if consistency == 0.0:
-            # mutual best responses force coincident signals
-            return babbling_report(Concept.NASH, spec, dq, label, Existence.EXISTS)
-        if consistency < 0.0:
-            return babbling_report(Concept.NASH, spec, dq, label,
-                                   Existence.ONLY_DEGENERATE)
-    s0 = -dq.zeta * sx0 * root0
-    s1 = dq.zeta * sx1 * root1
-    signals = SignalDesign(s0, s1)
-    rule = best_response_receiver(signals, spec.receiver, spec.noise)
-    d_star = consistency / spec.noise.sigma
-    risk_t, risk_r = informative_risks(spec.transmitter, spec.receiver,
-                                       d_star, tau, dq.zeta)
-    return EquilibriumReport(
-        concept=Concept.NASH,
-        case_label=label,
-        informative=True,
-        d_star=d_star,
-        d_max=dq.d_max,
-        signals=signals,
-        rule=rule,
-        risk_t=risk_t,
-        risk_r=risk_r,
-        existence=Existence.EXISTS,
-    )
+    _require_scalar_peak(spec, "solve_nash")
+    return _solve(spec, Concept.NASH)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +236,8 @@ def robustness_scan_nash(spec: GameSpec,
         same = (
             entry.report.informative == base.informative
             and signals_equal(entry.report.signals, base.signals)
-            and entry.report.rule.kind is base.rule.kind
-            and _rule_numbers_match(entry.report.rule, base.rule)
+            and rules_equal(entry.report.rule, base.rule)
         )
         if not same:
             continuous = False
     return NashScan(base, entries, continuous)
-
-
-def _rule_numbers_match(lhs: ReceiverRule, rhs: ReceiverRule) -> bool:
-    return lhs.a == rhs.a and lhs.eta == rhs.eta

@@ -35,6 +35,7 @@ from .detection import (
     RuleKind,
     SignalDesign,
     SpecError,
+    _fixed_error_probs,
     bayes_risk,
     derived_quantities,
     prior_only_rule,
@@ -178,6 +179,8 @@ def mc_estimate(signals: SignalDesign, rule: ReceiverRule, noise: NoiseModel,
         raise SpecError("seed: must be a non-negative integer")
     if n < _MIN_SAMPLES:
         raise SpecError("n: at least 10000 samples required")
+    if n % 2:
+        raise SpecError("n: must be even, half the samples go to each hypothesis")
     m = n // 2
     if noise.is_scalar:
         if isinstance(signals.s0, np.ndarray):
@@ -193,10 +196,10 @@ def mc_estimate(signals: SignalDesign, rule: ReceiverRule, noise: NoiseModel,
                 raise SpecError("rule: direction dimension mismatch")
 
     if rule.kind is not RuleKind.THRESHOLD:
-        p10, p01 = (1.0, 0.0) if rule.kind is RuleKind.ALWAYS_H1 else (0.0, 1.0)
+        p10, p01 = _fixed_error_probs(rule)
         return McEstimate(p10, p01,
                           bayes_risk(tx, p10, p01), bayes_risk(rx, p10, p01),
-                          0.0, 0.0, 0.0, 0.0, 2 * m, seed)
+                          0.0, 0.0, 0.0, 0.0, n, seed)
 
     chunks = [(c * _CHUNK, min(m, (c + 1) * _CHUNK))
               for c in range((m + _CHUNK - 1) // _CHUNK)]
@@ -234,7 +237,7 @@ def mc_estimate(signals: SignalDesign, rule: ReceiverRule, noise: NoiseModel,
         p10_hat, p01_hat,
         bayes_risk(tx, p10_hat, p01_hat), bayes_risk(rx, p10_hat, p01_hat),
         se10, se01, risk_se(tx), risk_se(rx),
-        2 * m, seed,
+        n, seed,
     )
 
 
@@ -260,18 +263,13 @@ def grid_search_transmitter(spec: GameSpec, concept: Concept,
 
     ds = np.linspace(0.0, dq.d_max, grid_size)
     risks = np.empty(grid_size)
-    rule0 = prior_only_rule(tau, dq.zeta)
-    p10_0, p01_0 = (1.0, 0.0) if rule0.kind is RuleKind.ALWAYS_H1 else (0.0, 1.0)
+    p10_0, p01_0 = _fixed_error_probs(prior_only_rule(tau, dq.zeta))
     risks[0] = bayes_risk(tx, p10_0, p01_0)
 
     pos = ds[1:]
     log_tau = math.log(tau)
     p10 = 0.5 * erfc(dq.zeta * (log_tau / pos + pos / 2.0) / _SQRT2)
     p01 = 0.5 * erfc(dq.zeta * (-log_tau / pos + pos / 2.0) / _SQRT2)
-    risks[1:] = (
-        tx.prior0 * tx.c00 + tx.prior1 * tx.c11
-        + tx.prior0 * tx.false_alarm_margin * p10
-        + tx.prior1 * tx.miss_margin * p01
-    )
+    risks[1:] = bayes_risk(tx, p10, p01)
     i = int(np.argmin(risks))
     return float(ds[i]), float(risks[i])

@@ -18,6 +18,9 @@ sign grid:
 Boundary conventions: bend = 0 and slope = 0 route to the >= branches, and a
 transmitter with both cost margins zero (risk constant in d) reports the
 non-informative outcome ("flat").
+
+``classify_transmitter_preference`` is the leader-follower chooser of the
+solve pipeline in ``equilibrium``, on every channel.
 """
 
 import math
@@ -30,21 +33,11 @@ from .detection import (
     GameSpec,
     NoiseModel,
     PeakPower,
-    SignalDesign,
     SpecError,
     derived_quantities,
-    optimal_receiver_rule,
     q_function,
 )
-from .equilibrium import (
-    Concept,
-    EquilibriumReport,
-    Existence,
-    babbling_report,
-    degenerate_receiver_report,
-    informative_risks,
-    separation_levels,
-)
+from .equilibrium import Concept, EquilibriumReport, _require_scalar_peak, _solve
 from .team import require_identical_agents
 
 __all__ = [
@@ -138,36 +131,8 @@ def classify_transmitter_preference(k0: float, k1: float, tau: float,
 
 def solve_stackelberg(spec: GameSpec) -> EquilibriumReport:
     """Leader-follower solution of a scalar peak-power game."""
-    if not spec.noise.is_scalar:
-        raise SpecError("noise: vector games are solved by solve_stackelberg_vec")
-    if not isinstance(spec.power, PeakPower):
-        raise SpecError("power: average-power games are solved by solve_stackelberg_avg")
-    dq = derived_quantities(spec)
-    if not dq.tau.is_finite:
-        return degenerate_receiver_report(Concept.STACKELBERG, spec, dq)
-    tau = dq.tau.finite_value()
-    pref = classify_transmitter_preference(dq.k0, dq.k1, tau, dq.d_max)
-    if pref.d_star == 0.0:
-        return babbling_report(Concept.STACKELBERG, spec, dq, pref.case_label,
-                               Existence.EXISTS)
-    s0, s1 = separation_levels(dq.zeta, spec.power.p0, spec.power.p1,
-                               pref.d_star, spec.noise.sigma)
-    signals = SignalDesign(s0, s1)
-    rule = optimal_receiver_rule(signals, spec.receiver, spec.noise)
-    risk_t, risk_r = informative_risks(spec.transmitter, spec.receiver,
-                                       pref.d_star, tau, dq.zeta)
-    return EquilibriumReport(
-        concept=Concept.STACKELBERG,
-        case_label=pref.case_label,
-        informative=True,
-        d_star=pref.d_star,
-        d_max=dq.d_max,
-        signals=signals,
-        rule=rule,
-        risk_t=risk_t,
-        risk_r=risk_r,
-        existence=Existence.EXISTS,
-    )
+    _require_scalar_peak(spec, "solve_stackelberg")
+    return _solve(spec, Concept.STACKELBERG)
 
 
 # ---------------------------------------------------------------------------

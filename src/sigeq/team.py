@@ -1,29 +1,15 @@
 """Jointly optimal design when transmitter and receiver share priors and costs.
 
 With identical parameters and a finite threshold ratio the shared risk is
-strictly decreasing in the normalized signal distance, so the optimum always
-uses the full power budget.  Otherwise the receiver ignores the channel and
-every signal pair is equivalent.
+strictly decreasing in the normalized signal distance, so the team chooser of
+the solve pipeline in ``equilibrium`` always takes d* = d_max: the full power
+budget.  Otherwise the receiver ignores the channel and every signal pair is
+equivalent.  Each team entry point checks that the agents are identical
+before anything else.
 """
 
-from .detection import (
-    GameSpec,
-    MismatchedAgentsError,
-    NoiseModel,
-    PeakPower,
-    SignalDesign,
-    SpecError,
-    derived_quantities,
-    optimal_receiver_rule,
-)
-from .equilibrium import (
-    Concept,
-    EquilibriumReport,
-    Existence,
-    degenerate_receiver_report,
-    informative_risks,
-    separation_levels,
-)
+from .detection import GameSpec, MismatchedAgentsError
+from .equilibrium import Concept, EquilibriumReport, _require_scalar_peak, _solve
 
 __all__ = ["require_identical_agents", "solve_team"]
 
@@ -38,29 +24,5 @@ def require_identical_agents(spec: GameSpec) -> None:
 def solve_team(spec: GameSpec) -> EquilibriumReport:
     """Team-optimal signal pair and rule for a scalar peak-power game."""
     require_identical_agents(spec)
-    if not spec.noise.is_scalar:
-        raise SpecError("noise: vector games are solved by solve_team_vec")
-    if not isinstance(spec.power, PeakPower):
-        raise SpecError("power: average-power games are solved by solve_team_avg")
-    dq = derived_quantities(spec)
-    if not dq.tau.is_finite:
-        return degenerate_receiver_report(Concept.TEAM, spec, dq)
-    tau = dq.tau.finite_value()
-    s0, s1 = separation_levels(dq.zeta, spec.power.p0, spec.power.p1,
-                               dq.d_max, spec.noise.sigma)
-    signals = SignalDesign(s0, s1)
-    rule = optimal_receiver_rule(signals, spec.receiver, spec.noise)
-    risk_t, risk_r = informative_risks(spec.transmitter, spec.receiver,
-                                       dq.d_max, tau, dq.zeta)
-    return EquilibriumReport(
-        concept=Concept.TEAM,
-        case_label="informative",
-        informative=True,
-        d_star=dq.d_max,
-        d_max=dq.d_max,
-        signals=signals,
-        rule=rule,
-        risk_t=risk_t,
-        risk_r=risk_r,
-        existence=Existence.EXISTS,
-    )
+    _require_scalar_peak(spec, "solve_team")
+    return _solve(spec, Concept.TEAM)

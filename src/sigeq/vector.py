@@ -6,6 +6,10 @@ what changes is geometry.  The budget-maximal distance is achieved along the
 covariance's minimum eigenvector, which makes that direction canonical for
 informative signal pairs, and a one-dimensional covariance [[sigma^2]]
 reproduces the scalar solvers exactly.
+
+So the vector entry points run the scalar ones' solve pipeline; only the
+realizer differs: it places the pair along the minimum eigenvector, which
+it computes only for an informative pair.
 """
 
 import math
@@ -14,26 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import (
+    DerivedQuantities,
     GameSpec,
     PeakPower,
     RuleKind,
     SignalDesign,
     SpecError,
     _sign,
-    derived_quantities,
-    optimal_receiver_rule,
 )
 from .equilibrium import (
     Concept,
     EquilibriumReport,
-    Existence,
-    babbling_report,
-    degenerate_receiver_report,
-    informative_risks,
-    separation_levels,
+    _Choice,
+    _peak_levels,
+    _solve,
 )
-from .nash import _mixed_label, _plain_label, _xi_signs, best_response_receiver
-from .stackelberg import classify_transmitter_preference
 from .team import require_identical_agents
 
 __all__ = [
@@ -109,68 +108,37 @@ def _require_vector_peak(spec: GameSpec) -> None:
         raise SpecError("power: vector games support peak power only")
 
 
-def _informative_signals(spec: GameSpec, zeta: int, d_star: float,
-                         axis: EigenPair) -> SignalDesign:
-    u0, u1 = separation_levels(zeta, spec.power.p0, spec.power.p1, d_star,
-                               math.sqrt(axis.value))
-    return SignalDesign(u0 * axis.vector, u1 * axis.vector)
+def _place_vector_peak(spec: GameSpec, dq: DerivedQuantities,
+                       choice: _Choice) -> tuple[SignalDesign, float]:
+    axis = min_eigenpair(spec.noise.covariance)
+    (u0, u1), d_star = _peak_levels(spec.power, dq.zeta, choice,
+                                    math.sqrt(axis.value))
+    return SignalDesign(u0 * axis.vector, u1 * axis.vector), d_star
 
 
 def solve_team_vec(spec: GameSpec) -> EquilibriumReport:
     """Team-optimal design over a vector channel."""
     require_identical_agents(spec)
     _require_vector_peak(spec)
-    dq = derived_quantities(spec)
-    if not dq.tau.is_finite:
-        return degenerate_receiver_report(Concept.TEAM, spec, dq)
-    tau = dq.tau.finite_value()
-    axis = min_eigenpair(spec.noise.covariance)
-    signals = _informative_signals(spec, dq.zeta, dq.d_max, axis)
-    rule = optimal_receiver_rule(signals, spec.receiver, spec.noise)
-    risk_t, risk_r = informative_risks(spec.transmitter, spec.receiver,
-                                       dq.d_max, tau, dq.zeta)
-    return EquilibriumReport(
-        concept=Concept.TEAM,
-        case_label="informative",
-        informative=True,
-        d_star=dq.d_max,
-        d_max=dq.d_max,
-        signals=signals,
-        rule=rule,
-        risk_t=risk_t,
-        risk_r=risk_r,
-        existence=Existence.EXISTS,
-    )
+    return _solve(spec, Concept.TEAM)
 
 
 def solve_stackelberg_vec(spec: GameSpec) -> EquilibriumReport:
     """Leader-follower solution over a vector channel."""
     _require_vector_peak(spec)
-    dq = derived_quantities(spec)
-    if not dq.tau.is_finite:
-        return degenerate_receiver_report(Concept.STACKELBERG, spec, dq)
-    tau = dq.tau.finite_value()
-    pref = classify_transmitter_preference(dq.k0, dq.k1, tau, dq.d_max)
-    if pref.d_star == 0.0:
-        return babbling_report(Concept.STACKELBERG, spec, dq, pref.case_label,
-                               Existence.EXISTS)
-    axis = min_eigenpair(spec.noise.covariance)
-    signals = _informative_signals(spec, dq.zeta, pref.d_star, axis)
-    rule = optimal_receiver_rule(signals, spec.receiver, spec.noise)
-    risk_t, risk_r = informative_risks(spec.transmitter, spec.receiver,
-                                       pref.d_star, tau, dq.zeta)
-    return EquilibriumReport(
-        concept=Concept.STACKELBERG,
-        case_label=pref.case_label,
-        informative=True,
-        d_star=pref.d_star,
-        d_max=dq.d_max,
-        signals=signals,
-        rule=rule,
-        risk_t=risk_t,
-        risk_r=risk_r,
-        existence=Existence.EXISTS,
-    )
+    return _solve(spec, Concept.STACKELBERG)
+
+
+def solve_nash_vec(spec: GameSpec) -> EquilibriumReport:
+    """Equilibrium classification over a vector channel.
+
+    The sign analysis is the scalar game's; the canonical informative pair
+    lies along the minimum-eigenvalue direction, where the matched rule
+    direction stays parallel to the signal difference under the noise
+    metric.
+    """
+    _require_vector_peak(spec)
+    return _solve(spec, Concept.NASH)
 
 
 def best_response_transmitter_vec(rule, transmitter, power: PeakPower,
@@ -190,58 +158,3 @@ def best_response_transmitter_vec(rule, transmitter, power: PeakPower,
     s0 = -_sign(transmitter.false_alarm_margin) * math.sqrt(power.p0) * unit
     s1 = _sign(transmitter.miss_margin) * math.sqrt(power.p1) * unit
     return SignalDesign(s0, s1)
-
-
-def solve_nash_vec(spec: GameSpec) -> EquilibriumReport:
-    """Equilibrium classification over a vector channel.
-
-    The sign analysis is identical to the scalar game; the canonical
-    informative pair lies along the minimum-eigenvalue direction, where the
-    matched rule direction stays parallel to the signal difference under the
-    noise metric.
-    """
-    _require_vector_peak(spec)
-    dq = derived_quantities(spec)
-    if not dq.tau.is_finite:
-        return degenerate_receiver_report(Concept.NASH, spec, dq)
-    tau = dq.tau.finite_value()
-    sx0, sx1 = _xi_signs(spec.transmitter, dq.zeta)
-    if sx0 == 0 or sx1 == 0:
-        return babbling_report(Concept.NASH, spec, dq, _plain_label(sx0, sx1),
-                               Existence.EXISTS)
-    if sx0 < 0 and sx1 < 0:
-        return babbling_report(Concept.NASH, spec, dq, _plain_label(sx0, sx1),
-                               Existence.ONLY_DEGENERATE)
-    root0 = math.sqrt(spec.power.p0)
-    root1 = math.sqrt(spec.power.p1)
-    consistency = sx1 * root1 + sx0 * root0
-    if sx0 > 0 and sx1 > 0:
-        label = _plain_label(sx0, sx1)
-    else:
-        label = _mixed_label(sx0, sx1, spec.power.p0, spec.power.p1)
-        if consistency == 0.0:
-            return babbling_report(Concept.NASH, spec, dq, label, Existence.EXISTS)
-        if consistency < 0.0:
-            return babbling_report(Concept.NASH, spec, dq, label,
-                                   Existence.ONLY_DEGENERATE)
-    axis = min_eigenpair(spec.noise.covariance)
-    sigma_eff = math.sqrt(axis.value)
-    s0 = (-dq.zeta * sx0 * root0) * axis.vector
-    s1 = (dq.zeta * sx1 * root1) * axis.vector
-    signals = SignalDesign(s0, s1)
-    rule = best_response_receiver(signals, spec.receiver, spec.noise)
-    d_star = consistency / sigma_eff
-    risk_t, risk_r = informative_risks(spec.transmitter, spec.receiver,
-                                       d_star, tau, dq.zeta)
-    return EquilibriumReport(
-        concept=Concept.NASH,
-        case_label=label,
-        informative=True,
-        d_star=d_star,
-        d_max=dq.d_max,
-        signals=signals,
-        rule=rule,
-        risk_t=risk_t,
-        risk_r=risk_r,
-        existence=Existence.EXISTS,
-    )

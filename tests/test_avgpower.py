@@ -192,6 +192,17 @@ def test_team_degenerate_threshold_ratio():
     assert rep.signals.s0 == 0.0 and rep.signals.s1 == 0.0
 
 
+def test_full_budget_pair_survives_an_overflowing_d_max():
+    # sigma = 1e-320 overflows d_max to inf; team and leader-follower play
+    # both choose the full budget and report the extreme pair itself
+    agent = AgentParams.from_prior0(0.5, HONEST)
+    spec = GameSpec(agent, agent, NoiseModel.scalar(1e-320), AveragePower(1.0))
+    for solver in (solve_team_avg, solve_stackelberg_avg):
+        rep = solver(spec)
+        assert rep.informative and rep.d_star == rep.d_max == math.inf
+        assert rep.signals.s0 == -1.0 and rep.signals.s1 == 1.0
+
+
 def test_avg_solver_validation():
     honest = AgentParams.from_prior0(0.5, HONEST)
     other = AgentParams.from_prior0(0.3, ((0.0, 0.5), (1.5, 0.0)))

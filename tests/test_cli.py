@@ -287,6 +287,14 @@ def test_verify_rejects_a_negative_seed():
     assert err.strip() == "error: seed: must be a non-negative integer"
 
 
+def test_verify_rejects_an_odd_sample_count():
+    code, out, err = run_cli(["verify", "--config", CONFIGS / "demo.json",
+                              "--concept", "stackelberg", "--samples", 10_001])
+    assert code == 2 and out == ""
+    assert err.strip() == ("error: n: must be even, half the samples go to "
+                           "each hypothesis")
+
+
 @pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
 def test_verify_rejects_a_non_finite_eta_offset(offset):
     code, out, err = run_cli(["verify", "--config", CONFIGS / "demo.json",

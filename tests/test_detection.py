@@ -34,7 +34,8 @@ from sigeq import (
     rules_equal,
     signals_equal,
 )
-from conftest import DEMO_RX, DEMO_TX, demo_spec, random_agent, random_scalar_spec
+from conftest import (DEMO_RX, DEMO_TX, demo_spec, random_agent, random_scalar_spec,
+                      random_spd_matrix)
 
 Q1 = 0.15865525393145707
 
@@ -200,6 +201,21 @@ def test_d_max_formulas():
     with pytest.raises(SpecError):
         d_max_of(GameSpec(agent, agent, NoiseModel.matrix(np.eye(2)),
                           AveragePower(1.0), dimension=2))
+
+
+def test_noise_model_keeps_the_minimum_eigenvalue_of_its_check():
+    # d_max reads the eigvalsh minimum that the positive-definiteness check
+    # computed; the smallest eigenvalue from eigh may differ in its last bits
+    rng = np.random.default_rng(11)
+    agent = AgentParams.from_prior0(0.25, ((0.0, 1.0), (1.0, 0.0)))
+    for n in (1, 2, 3, 8, 64):
+        cov = random_spd_matrix(rng, n)
+        lam = float(np.linalg.eigvalsh(cov)[0])
+        noise = NoiseModel.matrix(cov)
+        assert noise.min_eigenvalue == lam
+        spec = GameSpec(agent, agent, noise, PeakPower(2.0, 0.5), dimension=n)
+        assert d_max_of(spec) == (math.sqrt(2.0) + math.sqrt(0.5)) / math.sqrt(lam)
+    assert NoiseModel.scalar(1.0).min_eigenvalue is None
 
 
 def test_receiver_case_table():

@@ -7,6 +7,7 @@ import pytest
 
 from sigeq import (
     AgentParams,
+    Concept,
     Existence,
     GameSpec,
     MismatchedAgentsError,
@@ -14,10 +15,12 @@ from sigeq import (
     OutcomeKind,
     PeakPower,
     Perturbation,
+    ReceiverCase,
     ReceiverRule,
     RuleKind,
     SignalDesign,
     SpecError,
+    TauKind,
     best_response_dynamics,
     best_response_receiver,
     best_response_transmitter,
@@ -26,12 +29,14 @@ from sigeq import (
     preset_biased_cost,
     preset_deception,
     preset_subjective_priors,
+    receiver_case,
     risk_pair,
     robustness_scan_nash,
     rule_error_probs,
     rules_equal,
     signals_equal,
     single_cost_perturbations,
+    solve,
     solve_nash,
 )
 from conftest import demo_spec, random_scalar_spec, team_point_spec
@@ -107,6 +112,21 @@ def test_receiver_best_response_examples():
     with pytest.raises(SpecError):
         best_response_receiver(SignalDesign(-1.0, 1.0), degenerate,
                                NoiseModel.scalar(1.0))
+
+
+def test_receiver_best_response_rejects_an_underflowing_threshold_ratio():
+    # prior0 * (C10 - C00) underflows to 0: the margins share a strict sign,
+    # so the receiver case is LRT, but tau is 0 and no threshold rule exists
+    rx = AgentParams(1e-10, 1.0 - 1e-10, ((0.0, 1.0), (1e-320, 0.0)))
+    spec = GameSpec(rx, rx, NoiseModel.scalar(1.0), PeakPower(1.0, 1.0))
+    assert receiver_case(rx) is ReceiverCase.LRT
+    assert derived_quantities(spec).tau.kind is TauKind.NONPOSITIVE
+    with pytest.raises(SpecError,
+                       match="^tau: receiver best response needs a finite threshold ratio$"):
+        best_response_receiver(SignalDesign(-1.0, 1.0), rx, spec.noise)
+    for concept in Concept:
+        with pytest.raises(SpecError, match="^tau: finite threshold games have no degenerate"):
+            solve(spec, concept)
 
 
 def test_babbling_rule_carries_prior_margin():

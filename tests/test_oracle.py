@@ -130,6 +130,11 @@ def test_mc_validation():
     rule = ReceiverRule.threshold(1.0, 0.0)
     with pytest.raises(SpecError):
         mc_estimate(sig, rule, noise, (DEMO_TX, DEMO_RX), 9_999, 1)
+    # half the samples go to each hypothesis, so an odd count is refused
+    # rather than rounded down
+    for odd_rule in (rule, ReceiverRule.always_h1()):
+        with pytest.raises(SpecError, match="^n: must be even"):
+            mc_estimate(sig, odd_rule, noise, (DEMO_TX, DEMO_RX), 10_001, 1)
     with pytest.raises(SpecError):
         mc_estimate(SignalDesign(np.array([-1.0]), np.array([1.0])), rule,
                     noise, (DEMO_TX, DEMO_RX), 10_000, 1)
