@@ -525,9 +525,15 @@ def rules_equal(lhs: ReceiverRule, rhs: ReceiverRule, tol: float = 0.0) -> bool:
     return _num_close(lhs.a, rhs.a, tol) and _num_close(lhs.eta, rhs.eta, tol)
 
 
+def _within_budget(energy: float, budget: float) -> bool:
+    # the pair's energy rounds relative to the budget it spends
+    return energy <= budget + _POWER_TOL * max(1.0, budget)
+
+
 def check_power(signals: SignalDesign, power: PeakPower | AveragePower,
                 transmitter: AgentParams) -> None:
-    """Raise unless the pair satisfies the budget within 1e-12."""
+    """Raise unless the pair satisfies the budget within 1e-12 relative to it
+    (1e-12 absolute for budgets below 1)."""
     if isinstance(signals.s0, np.ndarray):
         e0 = float(signals.s0 @ signals.s0)
         e1 = float(signals.s1 @ signals.s1)
@@ -535,11 +541,11 @@ def check_power(signals: SignalDesign, power: PeakPower | AveragePower,
         e0 = signals.s0 * signals.s0
         e1 = signals.s1 * signals.s1
     if isinstance(power, PeakPower):
-        if e0 > power.p0 + _POWER_TOL or e1 > power.p1 + _POWER_TOL:
+        if not (_within_budget(e0, power.p0) and _within_budget(e1, power.p1)):
             raise SpecError("signals: peak power budget exceeded")
         return
-    avg = transmitter.prior0 * e0 + transmitter.prior1 * e1
-    if avg > power.p_avg + _POWER_TOL:
+    if not _within_budget(transmitter.prior0 * e0 + transmitter.prior1 * e1,
+                          power.p_avg):
         raise SpecError("signals: average power budget exceeded")
 
 
@@ -602,7 +608,11 @@ def optimal_receiver_rule(signals: SignalDesign, receiver: AgentParams,
     case = receiver_case(receiver)
     if case is not ReceiverCase.LRT:
         return _FIXED_RULES[case]
-    tau = _threshold_ratio(receiver).value
+    ratio = _threshold_ratio(receiver)
+    if not ratio.is_finite:
+        # both margins share a sign, but their ratio underflowed to 0
+        raise SpecError("tau: the matched rule needs a finite threshold ratio")
+    tau = ratio.value
     zeta = _sign(receiver.miss_margin)
     if signals.coincident:
         return prior_only_rule(tau, zeta)

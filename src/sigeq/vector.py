@@ -20,6 +20,7 @@ import numpy as np
 from .detection import (
     DerivedQuantities,
     GameSpec,
+    NoiseModel,
     PeakPower,
     RuleKind,
     SignalDesign,
@@ -75,13 +76,28 @@ def min_eigenpair(matrix) -> EigenPair:
     values, vectors = np.linalg.eigh(a)
     if values[0] <= 0.0:
         raise SpecError("matrix: must be positive definite")
+    return _signed_pair(a, values, vectors)
+
+
+def _covariance_axis(noise: NoiseModel) -> EigenPair:
+    """``min_eigenpair`` of a covariance that ``NoiseModel`` has validated:
+    square, at most 64 wide, symmetric and positive definite."""
+    values, vectors = np.linalg.eigh(noise.covariance)
+    return _signed_pair(noise.covariance, values, vectors)
+
+
+def _signed_pair(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> EigenPair:
+    """The first pair of ``eigh``'s output, sign-fixed and residual-checked."""
     vec = vectors[:, 0].copy()
     nonzero = np.nonzero(np.abs(vec) > 1e-12)[0]
     if nonzero.size and vec[nonzero[0]] < 0.0:
         vec = -vec
     value = float(values[0])
-    residual = float(np.linalg.norm(a @ vec - value * vec))
-    if residual > _RESIDUAL_TOL * float(np.linalg.norm(a)):
+    r = a @ vec - value * vec
+    flat = a.ravel()
+    # the 2-norm and the Frobenius norm, as np.linalg.norm computes them
+    residual = math.sqrt(float(r @ r))
+    if residual > _RESIDUAL_TOL * math.sqrt(float(flat @ flat)):
         raise ArithmeticError("eigenpair residual exceeded tolerance")
     vec.setflags(write=False)
     return EigenPair(value, vec, residual)
@@ -110,7 +126,7 @@ def _require_vector_peak(spec: GameSpec) -> None:
 
 def _place_vector_peak(spec: GameSpec, dq: DerivedQuantities,
                        choice: _Choice) -> tuple[SignalDesign, float]:
-    axis = min_eigenpair(spec.noise.covariance)
+    axis = _covariance_axis(spec.noise)
     (u0, u1), d_star = _peak_levels(spec.power, dq.zeta, choice,
                                     math.sqrt(axis.value))
     return SignalDesign(u0 * axis.vector, u1 * axis.vector), d_star

@@ -2,6 +2,7 @@
 the budget curve, with exhaustive-grid cross-checks of the numeric pieces."""
 
 import math
+import signal
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.special import erfc
 from sigeq import (
     AgentParams,
     AveragePower,
+    Concept,
     Existence,
     GameSpec,
     MismatchedAgentsError,
@@ -26,6 +28,7 @@ from sigeq import (
     q_function,
     risk_pair,
     signals_equal,
+    solve,
     solve_nash_avg,
     solve_stackelberg_avg,
     solve_team_avg,
@@ -203,6 +206,17 @@ def test_full_budget_pair_survives_an_overflowing_d_max():
         assert rep.signals.s0 == -1.0 and rep.signals.s1 == 1.0
 
 
+def test_full_budget_pair_passes_its_own_budget_check():
+    # the extreme pair spends 4201.877... to the last few ulps, which an
+    # absolute 1e-12 tolerance rejected as an exceeded budget
+    agent = AgentParams.from_prior0(0.9397660492149488, HONEST)
+    spec = GameSpec(agent, agent, NoiseModel.scalar(1.0),
+                    AveragePower(4201.877233464787))
+    for solver in (solve_team_avg, solve_stackelberg_avg):
+        rep = solver(spec)
+        assert rep.informative and rep.d_star == rep.d_max
+
+
 def test_avg_solver_validation():
     honest = AgentParams.from_prior0(0.5, HONEST)
     other = AgentParams.from_prior0(0.3, ((0.0, 0.5), (1.5, 0.0)))
@@ -326,6 +340,81 @@ def test_best_response_matches_exhaustive_grid():
         assert abs(got - dense) <= 1e-6
 
 
+# ---------------------------------------------------------------------------
+# grid oracle: the search the enumeration replaced, a 4097-point erfc grid on
+# the budget curve sharpened by a golden section
+
+
+GRID_POINTS = 4097
+GOLDEN_TOL = 1e-10
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def budget_curve(p_avg: float, pi0: float, pi1: float):
+    """Grid of splits x = |s0| on [0, sqrt(P/pi0)] and the matching |s1|."""
+    xs = np.linspace(0.0, math.sqrt(p_avg / pi0), GRID_POINTS)
+    ys = np.sqrt(np.maximum(p_avg - pi0 * xs * xs, 0.0) / pi1)
+    return xs, ys
+
+
+def curve_level(x: float, p_avg: float, pi0: float, pi1: float) -> float:
+    """|s1| on the binding budget for the split x = |s0|."""
+    return math.sqrt(max(p_avg - pi0 * x * x, 0.0) / pi1)
+
+
+def golden_min(f, lo: float, hi: float):
+    """Golden-section minimum on [lo, hi]; ties resolve to the smaller x.
+
+    It stops at a width of 1e-10, so it never ends once the ulp of x passes
+    that: keep budgets ordinary."""
+    best_x, best_f = lo, f(lo)
+    f_hi = f(hi)
+    if f_hi < best_f:
+        best_x, best_f = hi, f_hi
+    c = hi - INVPHI * (hi - lo)
+    d = lo + INVPHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > GOLDEN_TOL:
+        for x, fx in ((c, fc), (d, fd)):
+            if fx < best_f or (fx == best_f and x < best_x):
+                best_x, best_f = x, fx
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - INVPHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + INVPHI * (hi - lo)
+            fd = f(d)
+    return best_x, best_f
+
+
+def grid_best_response(rule: ReceiverRule, tx: AgentParams, p_avg: float,
+                       noise: NoiseModel):
+    """The grid search's transmitter response, for transmitters with both
+    margins nonzero: the best grid point, sharpened by a golden section over
+    its two neighbouring cells, the refined point never worse than it."""
+    pi0, pi1 = tx.prior0, tx.prior1
+    sa = 1.0 if rule.a > 0 else -1.0
+    xs, ys = budget_curve(p_avg, pi0, pi1)
+    risk = avgpower._split_risk(rule, tx, noise.sigma)
+    risks = risk(xs, ys)
+    i = int(np.argmin(risks))
+    grid_x, grid_f = float(xs[i]), float(risks[i])
+
+    def f(x: float) -> float:
+        return float(risk(x, curve_level(x, p_avg, pi0, pi1)))
+
+    x_star, f_star = golden_min(f, float(xs[max(i - 1, 0)]),
+                                float(xs[min(i + 1, GRID_POINTS - 1)]))
+    if grid_f < f_star or (grid_f == f_star and grid_x < x_star):
+        x_star = grid_x
+    y_star = curve_level(x_star, p_avg, pi0, pi1)
+    s0 = -sa * math.copysign(1.0, tx.false_alarm_margin) * x_star
+    s1 = sa * math.copysign(1.0, tx.miss_margin) * y_star
+    return SignalDesign(s0, s1), x_star
+
+
 def _curve_risks_reference(xs: np.ndarray, rule: ReceiverRule, tx: AgentParams,
                            p_avg: float, sigma: float) -> np.ndarray:
     """Risk on the budget curve, vectorized in the exact operation order the
@@ -343,9 +432,9 @@ def _curve_risks_reference(xs: np.ndarray, rule: ReceiverRule, tx: AgentParams,
 
 
 def test_refinement_objective_matches_grid_formula_bitwise():
-    # the golden-section objective runs on floats; it must give the grid's
-    # bits at the same x, which pins scipy's erfc (math.erfc rounds
-    # differently) and the operation order of the shared formula
+    # the risk the enumeration compares its candidates by runs on floats; it
+    # must give the grid oracle's bits at the same x, which pins scipy's erfc
+    # (math.erfc rounds differently) and the operation order of the formula
     rng = np.random.default_rng(31)
     checked = 0
     while checked < 60:
@@ -357,7 +446,7 @@ def test_refinement_objective_matches_grid_formula_bitwise():
         a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 5.0))
         rule = ReceiverRule.threshold(a, float(rng.uniform(-3.0, 3.0)))
         risk = avgpower._split_risk(rule, tx, sigma)
-        xs, ys = avgpower._budget_curve(p_avg, tx.prior0, tx.prior1)
+        xs, ys = budget_curve(p_avg, tx.prior0, tx.prior1)
         assert np.array_equal(risk(xs, ys),
                               _curve_risks_reference(xs, rule, tx, p_avg, sigma))
         x_hi = math.sqrt(p_avg / tx.prior0)
@@ -365,46 +454,147 @@ def test_refinement_objective_matches_grid_formula_bitwise():
                                  xs[rng.integers(0, xs.size, 20)], [0.0, x_hi]])
         want = _curve_risks_reference(probes, rule, tx, p_avg, sigma)
         for x, w in zip(probes.tolist(), want.tolist()):
-            y = avgpower._curve_level(x, p_avg, tx.prior0, tx.prior1)
+            y = curve_level(x, p_avg, tx.prior0, tx.prior1)
             assert float(risk(x, y)).hex() == w.hex()
         if checked < 20:
-            # the refined response still reaches the dense-grid minimum
-            signals, _ = nash_avg_best_response(rule, tx, p_avg,
-                                                NoiseModel.scalar(sigma))
-            got = float(threshold_risks(tx, signals.s0, signals.s1, a,
-                                        rule.eta, sigma))
+            # the enumeration and the grid oracle both reach the dense-grid
+            # minimum
             dense = np.linspace(0.0, x_hi, 1_000_001)
             best = float(np.min(_curve_risks_reference(dense, rule, tx, p_avg, sigma)))
-            assert abs(got - best) <= 1e-6
+            for respond in (nash_avg_best_response, grid_best_response):
+                signals, _ = respond(rule, tx, p_avg, NoiseModel.scalar(sigma))
+                got = float(threshold_risks(tx, signals.s0, signals.s1, a,
+                                            rule.eta, sigma))
+                assert abs(got - best) <= 1e-6
         checked += 1
 
 
-def test_best_response_does_not_depend_on_the_previous_call():
-    # the budget curve is reused between calls, so a stale curve would show
-    # as a response that depends on the calls made before it
-    rng = np.random.default_rng(37)
-    sigma = NoiseModel.scalar(0.8)
-    checked = 0
-    while checked < 20:
-        tx, other = random_agent(rng), random_agent(rng)
-        if min(abs(tx.false_alarm_margin), abs(tx.miss_margin),
-               abs(other.false_alarm_margin), abs(other.miss_margin)) == 0.0:
+def _g_reference(rule: ReceiverRule, tx: AgentParams, p_avg: float,
+                 sigma: float):
+    """The first-order condition g = [ln(|miss| x) - u1^2/2]
+    - [ln(|fa| y) - u0^2/2] on the budget curve against a fixed rule, with
+    u0, u1 written out from the risk's formulas, in mpmath, as a function of
+    f = ln tan t at x = sqrt(P/pi0) sin t, y = sqrt(P/pi1) cos t."""
+    m = mpmath.mpf
+    pi0, pi1, p = m(tx.prior0), m(tx.prior1), m(p_avg)
+    fa = m(tx.c10) - m(tx.c00)
+    miss = m(tx.c01) - m(tx.c11)
+    a, eta, s = m(rule.a), m(rule.eta), m(sigma)
+    sa = mpmath.sign(a)
+
+    def g(f):
+        t = mpmath.atan(mpmath.exp(f))
+        x = mpmath.sqrt(p / pi0) * mpmath.sin(t)
+        y = mpmath.sqrt(p / pi1) * mpmath.cos(t)
+        s0, s1 = -sa * mpmath.sign(fa) * x, sa * mpmath.sign(miss) * y
+        u0 = (eta - a * s0) / (abs(a) * s)
+        u1 = -(eta - a * s1) / (abs(a) * s)
+        return ((mpmath.log(abs(miss) * x) - u1 * u1 / 2)
+                - (mpmath.log(abs(fa) * y) - u0 * u0 / 2))
+
+    return g
+
+
+def test_enumerated_roots_match_a_50_digit_reference():
+    # every root the enumeration reports is a root of the x-form of g, to
+    # 50 digits; and every sign change of g from - to + on a dense float grid
+    # of the curve has an enumerated root inside its grid cell
+    rng = np.random.default_rng(43)
+    checked = several = 0
+    while checked < 60:
+        tx = random_agent(rng)
+        if tx.false_alarm_margin == 0.0 or tx.miss_margin == 0.0:
             continue
-        p_avg, p_other = (float(p) for p in rng.uniform(0.25, 4.0, 2))
+        sigma = float(rng.uniform(0.2, 2.0))
+        p_avg = float(rng.uniform(0.25, 4.0))
         rule = ReceiverRule.threshold(float(rng.choice([-1.0, 1.0])
-                                            * rng.uniform(0.2, 3.0)),
-                                      float(rng.uniform(-1.0, 1.0)))
-        responses = set()
-        # the last call before (tx, p_avg) changes both, only the budget, or
-        # only the agent
-        for before in ([(other, p_other)], [(other, p_other), (tx, p_other)],
-                       [(tx, p_other), (other, p_avg)]):
-            for agent, budget in before:
-                nash_avg_best_response(rule, agent, budget, sigma)
-            signals, x_star = nash_avg_best_response(rule, tx, p_avg, sigma)
-            responses.add((signals.s0, signals.s1, x_star))
-        assert len(responses) == 1
+                                            * rng.uniform(0.05, 5.0)),
+                                      float(rng.uniform(-3.0, 3.0)))
+        roots = avgpower._rising_roots(
+            *avgpower._arc_coefficients(rule, tx, p_avg, sigma))
+        assert roots == sorted(roots)
+        with mpmath.workdps(50):
+            g = _g_reference(rule, tx, p_avg, sigma)
+            for f in roots:
+                step = 1e-9 * max(1.0, abs(f))
+                lo, hi = mpmath.mpf(f) - step, mpmath.mpf(f) + step
+                assert g(lo) < 0 < g(hi)
+                ref = mpmath.findroot(g, (lo, hi), solver="anderson")
+                assert abs(float(ref) - f) <= 1e-12 * max(1.0, abs(f))
+        x_top = math.sqrt(p_avg / tx.prior0)
+        xs = [x_top * avgpower._arc_point(f)[0] for f in roots]
+        grid = np.linspace(0.0, x_top, 20_001)[1:-1]
+        ys = np.sqrt((p_avg - tx.prior0 * grid * grid) / tx.prior1)
+        fa, miss = tx.false_alarm_margin, tx.miss_margin
+        spread = abs(rule.a) * sigma
+        u0 = (rule.eta + abs(rule.a) * math.copysign(1.0, fa) * grid) / spread
+        u1 = -(rule.eta - abs(rule.a) * math.copysign(1.0, miss) * ys) / spread
+        gs = np.log(abs(miss) * grid) - u1 * u1 / 2 - np.log(abs(fa) * ys) + u0 * u0 / 2
+        for i in np.nonzero((gs[:-1] < 0.0) & (gs[1:] > 0.0))[0]:
+            assert any(grid[i] <= x <= grid[i + 1] for x in xs)
+        several += len(roots) > 1
         checked += 1
+    # the sample includes risks with more than one local minimum
+    assert several >= 1
+
+
+def test_certification_matches_the_grid_oracle(monkeypatch):
+    # the first 300 games of seeds 1-3: every report, certified or not, is
+    # the one the grid oracle's response certifies
+    games = []
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        games += [random_avg_spec(rng) for _ in range(300)]
+    reports = [solve_nash_avg(spec) for spec in games]
+    monkeypatch.setattr(avgpower, "nash_avg_best_response", grid_best_response)
+    informative = 0
+    for spec, rep in zip(games, reports):
+        oracle = solve_nash_avg(spec)
+        assert rep.informative == oracle.informative
+        assert rep.existence is oracle.existence
+        assert rep.case_label == oracle.case_label
+        assert (repr(rep.d_star), repr(rep.risk_t), repr(rep.risk_r)) == \
+            (repr(oracle.d_star), repr(oracle.risk_t), repr(oracle.risk_r))
+        informative += rep.informative
+    # both outcomes occur among the oriented roots
+    assert 0 < informative < len(games)
+
+
+def test_huge_budgets_solve_in_finite_time():
+    # the grid oracle's golden section never ends here: its 1e-10 stopping
+    # width is below the ulp of x once p_avg is about 1e13 pi0
+    tx = AgentParams(0.3868194501306237, 0.6131805498693763,
+                     ((0.09085271350425783, 1.3210001348557896),
+                      (1.862927709482709, 0.20719116808100124)))
+    rx = AgentParams(0.6170811798068087, 0.38291882019319134,
+                     ((0.29816309065742475, 1.4835133601386608),
+                      (1.444329616284235, 0.21871542456880455)))
+    noise = NoiseModel.scalar(1.0)
+    rule = ReceiverRule.threshold(1.3, 0.2)
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(10)
+    try:
+        rep = solve(GameSpec(tx, rx, noise, AveragePower(1e15)), Concept.NASH)
+        assert math.isfinite(rep.risk_t) and math.isfinite(rep.risk_r)
+        for p_avg in (1e13, 1e15, 1e20):
+            signals, x_star = nash_avg_best_response(rule, tx, p_avg, noise)
+            assert all(map(math.isfinite, (signals.s0, signals.s1, x_star)))
+            assert 0.0 <= x_star <= math.sqrt(p_avg / tx.prior0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("the solve did not return within 10 s")
+
+
+def test_budget_curve_overflow_is_rejected_naming_the_field():
+    # sqrt(p_avg / prior0) / sigma squares past the float range
+    tx = AgentParams.from_prior0(1e-200, HONEST)
+    with pytest.raises(SpecError, match="^p_avg: "):
+        nash_avg_best_response(ReceiverRule.threshold(1.0, 0.0), tx, 1e100,
+                               NoiseModel.scalar(1e-10))
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +813,9 @@ def test_nash_period_four_game_solves_to_its_equilibrium():
 
 def test_nash_reports_every_strict_fixed_point_of_best_response_rounds():
     # a strict fixed point of the rounds is an equilibrium the solver must
-    # report: same informativeness, same transmitter risk.  The numeric
-    # response places a flat minimum only to ~1e-8 relative (it compares
-    # risks), so the rounds settle up to ~1e-7 off the root, and the risk at
-    # the matched rule moves first-order with x: 1e-6 is what they resolve
+    # report: same informativeness, same transmitter risk.  The rounds stop
+    # once two pairs agree within 1e-9, and the risk at the matched rule
+    # moves first-order with x: 1e-6 is what they resolve
     rng = np.random.default_rng(41)
     fixed = 0
     for _ in range(100):

@@ -159,6 +159,26 @@ def test_check_power_budgets():
         check_power(SignalDesign(-2.1, 0.0), AveragePower(1.0), tx)
 
 
+def test_check_power_tolerance_scales_with_the_budget():
+    # 1e-12 relative to a budget above 1, 1e-12 absolute below it
+    tx = DEMO_TX  # prior0 0.25
+    for budget in (1e-6, 1.0, 4201.9, 1e30):
+        slack = 1e-12 * max(1.0, budget)
+        for over, ok in ((0.5 * slack, True), (4.0 * slack, False)):
+            peak = math.sqrt(budget + over)
+            for power, signals in ((PeakPower(budget, budget), SignalDesign(-peak, peak)),
+                                   (AveragePower(budget), SignalDesign(-2.0 * peak, 0.0))):
+                energy = (signals.s0 ** 2 if isinstance(power, PeakPower)
+                          else 0.25 * signals.s0 ** 2)
+                if ok:
+                    assert energy <= budget + slack
+                    check_power(signals, power, tx)
+                else:
+                    assert energy > budget + slack
+                    with pytest.raises(SpecError, match="budget exceeded"):
+                        check_power(signals, power, tx)
+
+
 # ---------------------------------------------------------------------------
 # derived quantities
 

@@ -124,6 +124,8 @@ def test_receiver_best_response_rejects_an_underflowing_threshold_ratio():
     with pytest.raises(SpecError,
                        match="^tau: receiver best response needs a finite threshold ratio$"):
         best_response_receiver(SignalDesign(-1.0, 1.0), rx, spec.noise)
+    with pytest.raises(SpecError, match="^tau: the matched rule needs a finite"):
+        optimal_receiver_rule(SignalDesign(-1.0, 1.0), rx, spec.noise)
     for concept in Concept:
         with pytest.raises(SpecError, match="^tau: finite threshold games have no degenerate"):
             solve(spec, concept)

@@ -28,6 +28,7 @@ from sigeq import (
     solve_team,
     solve_team_vec,
 )
+from sigeq import vector
 from conftest import (
     DEMO_RX,
     DEMO_TX,
@@ -92,6 +93,10 @@ def test_min_eigenpair_random_matrices():
         assert pair.residual <= 1e-9 * float(np.linalg.norm(m))
         with pytest.raises(ValueError):
             pair.vector[0] = 9.0
+        # the solve path skips the checks NoiseModel has made, not the bits
+        axis = vector._covariance_axis(NoiseModel.matrix(m))
+        assert (axis.value, axis.residual) == (pair.value, pair.residual)
+        assert np.array_equal(axis.vector, pair.vector)
 
 
 def test_mahalanobis_examples():
