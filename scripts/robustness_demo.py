@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Contrast equilibrium sensitivity to cost-model error at a team point.
 
-Starting from an agreed (identical-parameter) game, the transmitter's costs
-are offset by +/-eps one coordinate at a time.  The leader-follower solution
-can flip between informative and non-informative inside any such
-neighborhood, while the simultaneous-play solution keeps identical signals
-and rule as long as the offsets stay inside the receiver's cost margins.
+Starting from an agreed (identical-parameter) game on any channel, the
+transmitter's costs are offset by +/-eps one coordinate at a time and the
+game is re-solved under leader-follower and simultaneous play.  The
+leader-follower solution can flip between informative and non-informative,
+moving d* by the full d_max, while the simultaneous-play solution keeps its
+signals (exactly on peak-power channels, within O(eps) under an average
+budget).  A config whose agents differ, or whose tau is not finite, is a
+usage error and exits 2.
 
 Usage: python3 scripts/robustness_demo.py configs/team_point.json --eps 1e-3
 """
@@ -13,11 +16,7 @@ Usage: python3 scripts/robustness_demo.py configs/team_point.json --eps 1e-3
 import argparse
 import sys
 
-from sigeq import (
-    robustness_scan_nash,
-    robustness_scan_stackelberg,
-    single_cost_perturbations,
-)
+from sigeq import Concept, SpecError, robustness_scan, single_cost_perturbations
 from sigeq.cli import load_spec
 
 
@@ -28,38 +27,46 @@ def _describe(pert) -> str:
              if offset != 0.0]
     return " ".join(parts) if parts else "unperturbed"
 
+
+def _print_scan(title: str, scan) -> None:
+    base = scan.base
+    print(f"{title} at the base point: {base.case_label}, "
+          f"informative={base.informative}, d_star={base.d_star:.6g}")
+    flips = 0
+    jump = 0.0
+    for entry in scan.entries:
+        label = f"  {_describe(entry.perturbation):<12} ->"
+        rep = entry.report
+        if rep is None:
+            print(f"{label} invalid: {entry.error}")
+            continue
+        flips += rep.informative != base.informative
+        jump = max(jump, abs(rep.d_star - base.d_star))
+        print(f"{label} {rep.case_label}, informative={rep.informative}, "
+              f"d_star change={rep.d_star - base.d_star:+.3g}")
+    print(f"informativeness flips: {flips}; largest |d_star change|: {jump:.3g}"
+          f" (d_max {base.d_max:.3g})")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("config")
     ap.add_argument("--eps", type=float, default=1e-3)
     args = ap.parse_args()
 
-    spec = load_spec(args.config)
-    perts = single_cost_perturbations(args.eps)
-
-    stack = robustness_scan_stackelberg(spec, perts)
-    print(f"leader-follower at the base point: {stack.base.case_label}, "
-          f"informative={stack.base.informative}")
-    for entry in stack.entries:
-        if entry.report is None:
-            print(f"  {_describe(entry.perturbation):<12} -> invalid: {entry.error}")
-        else:
-            print(f"  {_describe(entry.perturbation):<12} -> "
-                  f"{entry.report.case_label}, informative={entry.report.informative}")
-    print(f"informativeness flips in the neighborhood: {stack.discontinuous}")
-    print()
-
-    nash = robustness_scan_nash(spec, perts)
-    print(f"simultaneous play at the base point: {nash.base.case_label}, "
-          f"informative={nash.base.informative}")
-    changed = sum(
-        1 for e in nash.entries
-        if e.report is not None and (
-            e.report.informative != nash.base.informative
-            or e.report.case_label != nash.base.case_label)
-    )
-    print(f"entries changing the equilibrium: {changed}")
-    print(f"equilibrium constant across the neighborhood: {nash.continuous}")
+    try:
+        spec = load_spec(args.config)
+        perts = single_cost_perturbations(args.eps)
+        scans = [(title, robustness_scan(spec, concept, perts))
+                 for title, concept in (("leader-follower", Concept.STACKELBERG),
+                                        ("simultaneous play", Concept.NASH))]
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for k, (title, scan) in enumerate(scans):
+        if k:
+            print()
+        _print_scan(title, scan)
     return 0
 
 

@@ -51,26 +51,24 @@ from .team import require_identical_agents, solve_team
 from .stackelberg import (
     EndpointChoice,
     Perturbation,
+    RobustnessScan,
     ScanEntry,
-    StackelbergScan,
     TransmitterPreference,
     classify_transmitter_preference,
     endpoint_rule,
     preset_biased_cost,
     preset_deception,
     preset_subjective_priors,
-    robustness_scan_stackelberg,
+    robustness_scan,
     single_cost_perturbations,
     solve_stackelberg,
 )
 from .nash import (
     DynamicsTrace,
-    NashScan,
     OutcomeKind,
     best_response_dynamics,
     best_response_receiver,
     best_response_transmitter,
-    robustness_scan_nash,
     solve_nash,
 )
 from .vector import (

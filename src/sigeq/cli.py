@@ -305,8 +305,7 @@ def cmd_dynamics(args) -> int:
     if args.init_a == 0.0:
         raise SpecError("init-a: the starting rule direction must be nonzero")
     init = ReceiverRule.threshold(args.init_a, args.init_eta)
-    trace = best_response_dynamics(spec, init_rule=init,
-                                   max_rounds=args.max_rounds)
+    trace = best_response_dynamics(spec, init_rule=init)
     lines = ["step,s0,s1,rule_kind,rule_a,rule_eta"]
     for k, (signals, rule) in enumerate(trace.iterates, start=1):
         lines.append(",".join([
@@ -315,10 +314,8 @@ def cmd_dynamics(args) -> int:
         ]))
     if trace.outcome is OutcomeKind.CONVERGED:
         lines.append(f"converged step={trace.step}")
-    elif trace.outcome is OutcomeKind.OSCILLATING:
-        lines.append(f"oscillating period={trace.period}")
     else:
-        lines.append(f"exhausted rounds={args.max_rounds}")
+        lines.append(f"oscillating period={trace.period}")
     _emit(lines, args.csv)
     return 0
 
@@ -387,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dyn = sub.add_parser("dynamics", help="run alternating best responses")
     common(p_dyn, concept=False)
-    p_dyn.add_argument("--max-rounds", type=int, default=32)
     p_dyn.add_argument("--init-a", type=float, default=1.0,
                        help="starting rule direction (nonzero)")
     p_dyn.add_argument("--init-eta", type=float, default=0.0)

@@ -18,7 +18,6 @@ game shares its xi signs and ``xi(., .)`` label.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .detection import (
     AgentParams,
@@ -34,7 +33,6 @@ from .detection import (
     derived_quantities,
     optimal_receiver_rule,
     rules_equal,
-    signals_equal,
 )
 from .equilibrium import (
     Concept,
@@ -44,8 +42,6 @@ from .equilibrium import (
     _require_scalar_peak,
     _solve,
 )
-from .stackelberg import Perturbation, ScanEntry, _scan_entries
-from .team import require_identical_agents
 
 __all__ = [
     "best_response_transmitter",
@@ -54,8 +50,6 @@ __all__ = [
     "OutcomeKind",
     "DynamicsTrace",
     "best_response_dynamics",
-    "NashScan",
-    "robustness_scan_nash",
 ]
 
 _CYCLE_TOL = 1e-12
@@ -135,7 +129,6 @@ def solve_nash(spec: GameSpec) -> EquilibriumReport:
 class OutcomeKind(Enum):
     CONVERGED = "converged"
     OSCILLATING = "oscillating"
-    EXHAUSTED = "exhausted"
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +139,8 @@ class DynamicsTrace:
     transmitter-then-receiver round.  CONVERGED records the first round whose
     matched rule reproduces the rule the transmitter just responded to, i.e.
     the round that exhibits a mutual best-response pair; OSCILLATING records
-    the cycle period (only period 2 can occur: candidate signal pairs form a
-    sign family).
+    the cycle period, which is always 2.  There are at most three rounds; see
+    ``best_response_dynamics``.
     """
 
     iterates: tuple[tuple[SignalDesign, ReceiverRule], ...]
@@ -156,9 +149,24 @@ class DynamicsTrace:
     period: int | None = None
 
 
-def best_response_dynamics(spec: GameSpec, init_rule: ReceiverRule | None = None,
-                           max_rounds: int = 32) -> DynamicsTrace:
-    """Alternate best responses from an initial threshold rule."""
+def best_response_dynamics(spec: GameSpec,
+                           init_rule: ReceiverRule | None = None) -> DynamicsTrace:
+    """Alternate best responses from an initial threshold rule.
+
+    The run ends by round 3.  Give a rule the direction sign s = sign(a), and
+    s = 0 to the fixed rule the receiver plays against coincident signals.
+    The transmitter's response T depends on the rule only through s, with
+    T(-s) = -T(s) and T(0) the zero pair.  The matched rule of a pair has the
+    sign of zeta (s1 - s0), so mirroring the pair flips it.  Hence the sign
+    after a round is g(s) for an odd map g.  Starting from sign s:
+
+    * g(s) = s: round 2 repeats round 1's signals, so also its rule
+      (converged);
+    * g(s) = 0: round 1's signals coincide and its rule is the prior-only
+      rule, which round 2's zero pair reproduces (converged);
+    * g(s) = -s: round 2 plays the mirrored pair, whose sign is g(-s) = s, so
+      round 3 repeats round 1's signals (a period-2 oscillation).
+    """
     if not spec.noise.is_scalar or not isinstance(spec.power, PeakPower):
         raise SpecError("dynamics: defined for scalar peak-power games")
     if not derived_quantities(spec).tau.is_finite:
@@ -167,15 +175,9 @@ def best_response_dynamics(spec: GameSpec, init_rule: ReceiverRule | None = None
         init_rule = ReceiverRule.threshold(1.0, 0.0)
     if init_rule.kind is not RuleKind.THRESHOLD:
         raise SpecError("init_rule: dynamics start from a threshold rule")
-    if max_rounds < 4:
-        raise SpecError("max_rounds: need at least 4 rounds to detect a cycle")
     prev_rule = init_rule
     iterates: list[tuple[SignalDesign, ReceiverRule]] = []
-    history: list[SignalDesign] = []
-    outcome = OutcomeKind.EXHAUSTED
-    step = None
-    period = None
-    for k in range(1, max_rounds + 1):
+    for step in (1, 2, 3):
         signals = best_response_transmitter(prev_rule, spec.transmitter,
                                             spec.power)
         rule = best_response_receiver(signals, spec.receiver, spec.noise)
@@ -183,61 +185,7 @@ def best_response_dynamics(spec: GameSpec, init_rule: ReceiverRule | None = None
         # rule == prev_rule makes (signals, prev_rule) a mutual best-response
         # pair, so the trajectory is constant from here on
         if rules_equal(rule, prev_rule, _CYCLE_TOL):
-            outcome = OutcomeKind.CONVERGED
-            step = k
-            break
-        if len(history) >= 2 and signals_equal(signals, history[-2], _CYCLE_TOL):
-            outcome = OutcomeKind.OSCILLATING
-            period = 2
-            break
-        history.append(signals)
+            return DynamicsTrace(tuple(iterates), OutcomeKind.CONVERGED, step=step)
         prev_rule = rule
-    return DynamicsTrace(tuple(iterates), outcome, step, period)
-
-
-# ---------------------------------------------------------------------------
-# robustness scan
-
-
-@dataclass(frozen=True, eq=False)
-class NashScan:
-    base: EquilibriumReport
-    entries: tuple[ScanEntry, ...]
-    continuous: bool
-
-
-def _within_continuity_bounds(pert: Perturbation, receiver: AgentParams) -> bool:
-    return (
-        abs(pert.eps_c10 - pert.eps_c00) < abs(receiver.false_alarm_margin)
-        and abs(pert.eps_c01 - pert.eps_c11) < abs(receiver.miss_margin)
-    )
-
-
-def robustness_scan_nash(spec: GameSpec,
-                         perturbations: Iterable[Perturbation]) -> NashScan:
-    """Solve with the transmitter offset from the receiver's parameters.
-
-    Equilibrium signals and rule depend on the transmitter only through its
-    cost-margin signs, so any perturbation whose cost offsets stay inside the
-    receiver's margins must leave the reported (signals, rule, informative)
-    triple unchanged; ``continuous`` records whether that held.
-    """
-    require_identical_agents(spec)
-    if not derived_quantities(spec).tau.is_finite:
-        raise SpecError("tau: robustness scans require a finite threshold ratio")
-    base = solve_nash(spec)
-    entries = _scan_entries(spec, perturbations, solve_nash)
-    continuous = True
-    for entry in entries:
-        if entry.report is None:
-            continue
-        if not _within_continuity_bounds(entry.perturbation, spec.receiver):
-            continue
-        same = (
-            entry.report.informative == base.informative
-            and signals_equal(entry.report.signals, base.signals)
-            and rules_equal(entry.report.rule, base.rule)
-        )
-        if not same:
-            continuous = False
-    return NashScan(base, entries, continuous)
+    # round 3 repeated round 1's signals, by the argument above
+    return DynamicsTrace(tuple(iterates), OutcomeKind.OSCILLATING, period=2)

@@ -21,6 +21,12 @@ non-informative outcome ("flat").
 
 ``classify_transmitter_preference`` is the leader-follower chooser of the
 solve pipeline in ``equilibrium``, on every channel.
+
+``robustness_scan`` probes the paper's fragility claim around a team point:
+it offsets the transmitter's priors and costs and re-solves through the same
+pipeline under leader-follower or simultaneous play, on any channel.  Near
+such a point commitment can jump between informative and babbling, by the
+full d_max, while the peak-power Nash pair does not move at all.
 """
 
 import math
@@ -47,8 +53,8 @@ __all__ = [
     "solve_stackelberg",
     "Perturbation",
     "ScanEntry",
-    "StackelbergScan",
-    "robustness_scan_stackelberg",
+    "RobustnessScan",
+    "robustness_scan",
     "single_cost_perturbations",
     "preset_subjective_priors",
     "preset_biased_cost",
@@ -136,7 +142,8 @@ def solve_stackelberg(spec: GameSpec) -> EquilibriumReport:
 
 
 # ---------------------------------------------------------------------------
-# robustness scans around a shared-parameter base point
+# robustness scan around a shared-parameter base point, for both game
+# concepts on every channel
 
 
 @dataclass(frozen=True)
@@ -196,46 +203,45 @@ class ScanEntry:
 
 
 @dataclass(frozen=True, eq=False)
-class StackelbergScan:
+class RobustnessScan:
+    """The base solve and one entry per perturbation, in the given order.
+
+    How far an entry moved (in d*, risk_t or risk_r) or whether it flipped
+    informativeness is one comparison against ``base``.
+    """
+
     base: EquilibriumReport
     entries: tuple[ScanEntry, ...]
-    discontinuous: bool
 
 
-def _scan_entries(spec: GameSpec, perturbations: Iterable[Perturbation], solver):
-    entries = []
-    for pert in perturbations:
-        if not pert.renormalizes:
-            entries.append(ScanEntry(pert, None, "priors must renormalize: eps_prior0 = -eps_prior1"))
-            continue
-        try:
-            transmitter = pert.applied_to(spec.receiver)
-        except SpecError as exc:
-            entries.append(ScanEntry(pert, None, str(exc)))
-            continue
-        entries.append(ScanEntry(pert, solver(replace(spec, transmitter=transmitter))))
-    return tuple(entries)
+def robustness_scan(spec: GameSpec, concept: Concept | str,
+                    perturbations: Iterable[Perturbation]) -> RobustnessScan:
+    """Solve ``spec`` under ``concept`` with the transmitter offset from the
+    shared base point, on any channel.
 
-
-def robustness_scan_stackelberg(spec: GameSpec,
-                                perturbations: Iterable[Perturbation],
-                                neighborhood: float = math.inf) -> StackelbergScan:
-    """Solve the game with the transmitter offset from the shared base point.
-
-    The base spec must have identical agents and a finite tau.  The scan is
-    flagged discontinuous when two perturbations of norm <= ``neighborhood``
-    (the zero perturbation included) disagree on informativeness.
+    The base spec must have identical agents and a finite tau.  Team play is
+    rejected: a perturbed transmitter no longer shares the receiver's
+    objective.  An offset that does not renormalize the priors, or that
+    yields an invalid agent or an unsolvable game, is reported in its entry's
+    ``error`` instead of a report.
     """
+    concept = Concept(concept)
+    if concept is Concept.TEAM:
+        raise SpecError("concept: a perturbed transmitter leaves the team setup;"
+                        " scan stackelberg or nash")
     require_identical_agents(spec)
-    base = solve_stackelberg(spec)
     if not derived_quantities(spec).tau.is_finite:
         raise SpecError("tau: robustness scans require a finite threshold ratio")
-    entries = _scan_entries(spec, perturbations, solve_stackelberg)
-    flags = {base.informative}
-    for entry in entries:
-        if entry.report is not None and entry.perturbation.norm() <= neighborhood:
-            flags.add(entry.report.informative)
-    return StackelbergScan(base, entries, len(flags) > 1)
+    entries = []
+    for pert in perturbations:
+        try:
+            if not pert.renormalizes:
+                raise SpecError("priors must renormalize: eps_prior0 = -eps_prior1")
+            moved = replace(spec, transmitter=pert.applied_to(spec.receiver))
+            entries.append(ScanEntry(pert, _solve(moved, concept)))
+        except SpecError as exc:
+            entries.append(ScanEntry(pert, None, str(exc)))
+    return RobustnessScan(_solve(spec, concept), tuple(entries))
 
 
 # ---------------------------------------------------------------------------

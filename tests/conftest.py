@@ -95,8 +95,17 @@ def team_point_spec(sigma: float = 0.1) -> GameSpec:
     return GameSpec(agent, agent, NoiseModel.scalar(sigma), PeakPower(1.0, 1.0))
 
 
-def fragile_team_spec() -> GameSpec:
+def fragile_team_spec(channel: str = "scalar") -> GameSpec:
     """Shared-parameter game (tau = 4/27) whose small power budget leaves the
-    endpoint comparison nearly tied, so 1e-3 cost offsets flip informativeness."""
+    endpoint comparison nearly tied, so 1e-3 cost offsets flip informativeness.
+
+    ``channel`` "vector" puts the same agent on a 2-D channel with covariance
+    diag(900, 3600), whose least-noise axis matches the scalar sigma = 30;
+    "avg" spends an average budget of 1 instead of the two peak budgets.
+    """
     agent = AgentParams.from_prior0(0.25, ((0.0, 0.9), (0.4, 0.0)))
-    return GameSpec(agent, agent, NoiseModel.scalar(30.0), PeakPower(1.0, 1.0))
+    if channel == "vector":
+        return GameSpec(agent, agent, NoiseModel.matrix(np.diag([900.0, 3600.0])),
+                        PeakPower(1.0, 1.0), dimension=2)
+    power = AveragePower(1.0) if channel == "avg" else PeakPower(1.0, 1.0)
+    return GameSpec(agent, agent, NoiseModel.scalar(30.0), power)

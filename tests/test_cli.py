@@ -225,13 +225,6 @@ def test_dynamics_rejects_a_zero_starting_direction():
     assert "error:" in err and "nonzero" in err
 
 
-def test_dynamics_rejects_a_tiny_round_budget():
-    code, _, err = run_cli(["dynamics", "--config", CONFIGS / "demo.json",
-                            "--max-rounds", 3])
-    assert code == 2
-    assert "max_rounds" in err
-
-
 # ---------------------------------------------------------------------------
 # verify
 

@@ -1,4 +1,4 @@
-"""Simultaneous-move equilibria, best-response dynamics, continuity scan."""
+"""Simultaneous-move equilibria, best-response dynamics, robustness scan."""
 
 import math
 
@@ -31,7 +31,7 @@ from sigeq import (
     preset_subjective_priors,
     receiver_case,
     risk_pair,
-    robustness_scan_nash,
+    robustness_scan,
     rule_error_probs,
     rules_equal,
     signals_equal,
@@ -281,23 +281,58 @@ def test_dynamics_oscillates_when_opposed():
 
 def test_dynamics_argument_validation():
     with pytest.raises(SpecError):
-        best_response_dynamics(game(HONEST), max_rounds=3)
-    with pytest.raises(SpecError):
         best_response_dynamics(game(HONEST), init_rule=ReceiverRule.always_h0())
     degenerate = game(HONEST, rx_costs=((0.0, 1.0), (1.0, 1.0)))
     with pytest.raises(SpecError):
         best_response_dynamics(degenerate)
 
 
+def _edge_agent(rng):
+    """An agent whose costs may tie (zero margins): drawn from {0, 0.5, 1}
+    half the time, else continuously."""
+    if rng.random() < 0.5:
+        c = [float(x) for x in rng.choice([0.0, 0.5, 1.0], size=4)]
+    else:
+        c = [float(x) for x in rng.uniform(0.0, 2.0, size=4)]
+    return AgentParams.from_prior0(float(rng.uniform(0.05, 0.95)),
+                                   ((c[0], c[1]), (c[2], c[3])))
+
+
+def _edge_spec(rng):
+    """A finite-tau game with edge-case agents and, half the time, tied
+    budgets."""
+    while True:
+        p0 = float(rng.uniform(0.25, 4.0))
+        p1 = p0 if rng.random() < 0.5 else float(rng.uniform(0.25, 4.0))
+        spec = GameSpec(_edge_agent(rng), _edge_agent(rng),
+                        NoiseModel.scalar(float(rng.uniform(0.2, 2.0))),
+                        PeakPower(p0, p1))
+        if derived_quantities(spec).tau.is_finite:
+            return spec
+
+
 def test_dynamics_never_exhausts_on_random_games():
+    # the three-round argument of best_response_dynamics: random games
+    # started at eta = 0, then games with zero cost margins and tied budgets
+    # started at a random eta
     rng = np.random.default_rng(23)
-    for _ in range(200):
-        spec = random_scalar_spec(rng)
+    specs = ([random_scalar_spec(rng) for _ in range(200)]
+             + [_edge_spec(rng) for _ in range(200)])
+    assert any(s.transmitter.false_alarm_margin == 0.0
+               or s.transmitter.miss_margin == 0.0 for s in specs)
+    outcomes = set()
+    for k, spec in enumerate(specs):
         for a0 in (1.0, -1.0):
+            eta0 = 0.0 if k < 200 else float(rng.normal())
             trace = best_response_dynamics(
-                spec, init_rule=ReceiverRule.threshold(a0, 0.0))
-            assert trace.outcome is not OutcomeKind.EXHAUSTED
+                spec, init_rule=ReceiverRule.threshold(a0, eta0))
+            outcomes.add(trace.outcome)
             assert len(trace.iterates) <= 3
+            if trace.outcome is OutcomeKind.OSCILLATING:
+                first, second, third = (s for s, _ in trace.iterates)
+                assert signals_equal(third, first)
+                assert signals_equal(second, SignalDesign(-first.s0, -first.s1))
+    assert outcomes == {OutcomeKind.CONVERGED, OutcomeKind.OSCILLATING}
 
 
 def test_dynamics_outcome_matches_classification():
@@ -316,22 +351,44 @@ def test_dynamics_outcome_matches_classification():
 
 
 # ---------------------------------------------------------------------------
-# continuity scan
+# robustness scan
+
+
+def within_margins(pert: Perturbation, receiver: AgentParams) -> bool:
+    """Cost offsets too small to flip either transmitter margin's sign away
+    from the receiver's."""
+    return (
+        abs(pert.eps_c10 - pert.eps_c00) < abs(receiver.false_alarm_margin)
+        and abs(pert.eps_c01 - pert.eps_c11) < abs(receiver.miss_margin)
+    )
+
+
+def nash_unmoved(scan, receiver: AgentParams) -> bool:
+    """The Nash pair depends on the transmitter only through its margin
+    signs, so every solved entry inside the margins repeats the base's
+    (signals, rule, informative) triple."""
+    return all(
+        e.report.informative == scan.base.informative
+        and signals_equal(e.report.signals, scan.base.signals)
+        and rules_equal(e.report.rule, scan.base.rule)
+        for e in scan.entries
+        if e.report is not None and within_margins(e.perturbation, receiver)
+    )
 
 
 def test_nash_scan_requires_team_base_and_finite_tau():
     with pytest.raises(MismatchedAgentsError):
-        robustness_scan_nash(demo_spec(), single_cost_perturbations(1e-3))
+        robustness_scan(demo_spec(), Concept.NASH, single_cost_perturbations(1e-3))
     agent = AgentParams.from_prior0(0.5, ((0.0, 1.0), (1.0, 1.0)))
     spec = GameSpec(agent, agent, NoiseModel.scalar(1.0), PeakPower(1.0, 1.0))
     with pytest.raises(SpecError):
-        robustness_scan_nash(spec, single_cost_perturbations(1e-3))
+        robustness_scan(spec, Concept.NASH, single_cost_perturbations(1e-3))
 
 
 def test_nash_scan_zero_perturbation_matches_base():
     spec = team_point_spec()
-    scan = robustness_scan_nash(spec, [Perturbation()])
-    assert scan.continuous
+    scan = robustness_scan(spec, Concept.NASH, [Perturbation()])
+    assert nash_unmoved(scan, spec.receiver)
     entry = scan.entries[0]
     assert entry.report.informative == scan.base.informative
     assert signals_equal(entry.report.signals, scan.base.signals)
@@ -339,8 +396,9 @@ def test_nash_scan_zero_perturbation_matches_base():
 
 
 def test_nash_scan_is_continuous_inside_margin_bounds():
-    scan = robustness_scan_nash(team_point_spec(), single_cost_perturbations(1e-3))
-    assert scan.continuous
+    spec = team_point_spec()
+    scan = robustness_scan(spec, Concept.NASH, single_cost_perturbations(1e-3))
+    assert nash_unmoved(scan, spec.receiver)
     reports = [e.report for e in scan.entries if e.report is not None]
     assert reports
     for rep in reports:
@@ -352,17 +410,18 @@ def test_nash_scan_is_continuous_inside_margin_bounds():
 def test_nash_scan_ignores_prior_perturbations_entirely():
     # the equilibrium depends on the transmitter only through margin signs,
     # so even a large prior shift moves nothing
-    scan = robustness_scan_nash(
-        team_point_spec(),
-        [Perturbation(eps_prior0=0.1, eps_prior1=-0.1)])
-    assert scan.continuous
+    spec = team_point_spec()
+    scan = robustness_scan(spec, Concept.NASH,
+                           [Perturbation(eps_prior0=0.1, eps_prior1=-0.1)])
+    assert nash_unmoved(scan, spec.receiver)
     rep = scan.entries[0].report
     assert signals_equal(rep.signals, scan.base.signals)
     assert rules_equal(rep.rule, scan.base.rule)
 
 
 def test_nash_scan_rejects_non_renormalizing_offsets_per_entry():
-    scan = robustness_scan_nash(team_point_spec(), [Perturbation(eps_prior0=0.1)])
+    scan = robustness_scan(team_point_spec(), Concept.NASH,
+                           [Perturbation(eps_prior0=0.1)])
     assert scan.entries[0].report is None
     assert scan.entries[0].error
 

@@ -1,4 +1,5 @@
-"""Leader-follower solver: six-case classification, endpoint rule, scans."""
+"""Leader-follower solver: six-case classification, endpoint rule, the
+robustness scan."""
 
 import math
 
@@ -7,6 +8,7 @@ import pytest
 
 from sigeq import (
     AgentParams,
+    AveragePower,
     Concept,
     EndpointChoice,
     Existence,
@@ -28,10 +30,12 @@ from sigeq import (
     preset_subjective_priors,
     prior_only_rule,
     risk_pair,
-    robustness_scan_stackelberg,
+    robustness_scan,
     rules_equal,
     separation_levels,
+    signals_equal,
     single_cost_perturbations,
+    solve,
     solve_stackelberg,
     solve_team,
 )
@@ -237,16 +241,47 @@ def test_perturbation_container():
 
 def test_scan_requires_team_base():
     with pytest.raises(MismatchedAgentsError):
-        robustness_scan_stackelberg(demo_spec(), single_cost_perturbations(1e-3))
+        robustness_scan(demo_spec(), Concept.STACKELBERG,
+                        single_cost_perturbations(1e-3))
     agent = AgentParams.from_prior0(0.5, ((0.0, 1.0), (1.0, 1.0)))  # tau infinite
     spec = GameSpec(agent, agent, NoiseModel.scalar(1.0), PeakPower(1.0, 1.0))
     with pytest.raises(SpecError):
-        robustness_scan_stackelberg(spec, single_cost_perturbations(1e-3))
+        robustness_scan(spec, Concept.STACKELBERG, single_cost_perturbations(1e-3))
+
+
+def test_scan_rejects_team_play_and_unknown_concepts():
+    spec = team_point_spec()
+    with pytest.raises(SpecError, match="concept"):
+        robustness_scan(spec, Concept.TEAM, [Perturbation()])
+    with pytest.raises(ValueError):
+        robustness_scan(spec, "bargaining", [Perturbation()])
+
+
+def test_scan_rejects_an_average_budget_on_a_vector_channel():
+    agent = team_point_spec().receiver
+    spec = GameSpec(agent, agent, NoiseModel.matrix(np.eye(2)), AveragePower(1.0),
+                    dimension=2)
+    with pytest.raises(SpecError, match="power"):
+        robustness_scan(spec, Concept.NASH, [Perturbation()])
+
+
+@pytest.mark.parametrize("concept", ["stackelberg", "nash"])
+@pytest.mark.parametrize("channel", ["scalar", "vector", "avg"])
+def test_scan_base_and_zero_entry_are_the_solve(concept, channel):
+    spec = fragile_team_spec(channel)
+    scan = robustness_scan(spec, concept, [Perturbation()])
+    ref = solve(spec, Concept(concept))
+    for rep in (scan.base, scan.entries[0].report):
+        assert rep.case_label == ref.case_label
+        assert rep.d_star == ref.d_star
+        assert (rep.risk_t, rep.risk_r) == (ref.risk_t, ref.risk_r)
+        assert signals_equal(rep.signals, ref.signals)
+        assert rules_equal(rep.rule, ref.rule)
 
 
 def test_zero_perturbation_reproduces_team_point():
     spec = team_point_spec(sigma=0.1)
-    scan = robustness_scan_stackelberg(spec, [Perturbation()])
+    scan = robustness_scan(spec, Concept.STACKELBERG, [Perturbation()])
     entry = scan.entries[0]
     assert entry.report is not None
     assert entry.report.d_star == scan.base.d_star == scan.base.d_max
@@ -255,17 +290,18 @@ def test_zero_perturbation_reproduces_team_point():
 def test_cost_perturbation_flips_classification_branch():
     # at the shared point k0 = k1; a false-alarm cost offset tips the bend sign
     spec = team_point_spec(sigma=0.1)
-    up = robustness_scan_stackelberg(spec, [Perturbation(eps_c10=1e-3)])
-    down = robustness_scan_stackelberg(spec, [Perturbation(eps_c10=-1e-3)])
-    assert up.entries[0].report.case_label in {"case-1", "case-2", "case-3"}
-    assert down.entries[0].report.case_label in {"case-4", "case-5", "case-6"}
+    scan = robustness_scan(spec, Concept.STACKELBERG,
+                           [Perturbation(eps_c10=1e-3), Perturbation(eps_c10=-1e-3)])
+    up, down = (e.report for e in scan.entries)
+    assert up.case_label in {"case-1", "case-2", "case-3"}
+    assert down.case_label in {"case-4", "case-5", "case-6"}
 
 
 def test_scan_finds_informativeness_flip_at_small_budget():
     spec = fragile_team_spec()
-    scan = robustness_scan_stackelberg(spec, single_cost_perturbations(1e-3))
+    scan = robustness_scan(spec, Concept.STACKELBERG,
+                           single_cost_perturbations(1e-3))
     assert scan.base.informative
-    assert scan.discontinuous
     flipped = [e for e in scan.entries
                if e.report is not None and not e.report.informative]
     assert flipped
@@ -273,16 +309,9 @@ def test_scan_finds_informativeness_flip_at_small_budget():
     assert invalid and all(e.error for e in invalid)
 
 
-def test_scan_neighborhood_filter():
-    spec = fragile_team_spec()
-    scan = robustness_scan_stackelberg(spec, single_cost_perturbations(1e-3),
-                                       neighborhood=1e-4)
-    assert not scan.discontinuous
-
-
 def test_non_renormalizing_prior_offsets_are_rejected_per_entry():
     spec = team_point_spec(sigma=0.1)
-    scan = robustness_scan_stackelberg(spec, [Perturbation(eps_prior0=1e-3)])
+    scan = robustness_scan(spec, Concept.STACKELBERG, [Perturbation(eps_prior0=1e-3)])
     assert scan.entries[0].report is None
     assert "renormalize" in scan.entries[0].error
 
