@@ -31,9 +31,9 @@ from .detection import (
     RuleKind,
     SignalDesign,
     SpecError,
+    _matched_rule,
     _sign,
     check_power,
-    optimal_receiver_rule,
     risk_pair,
 )
 from .equilibrium import (
@@ -45,7 +45,7 @@ from .equilibrium import (
     _solve,
     babbling_report,
 )
-from .nash import _xi_label, _xi_signs
+from .nash import _xi_label
 from .team import require_identical_agents
 
 __all__ = [
@@ -444,7 +444,7 @@ def _nash_avg_report(spec: GameSpec, dq: DerivedQuantities) -> EquilibriumReport
     tau = dq.tau.value
     tx = spec.transmitter
     fa, miss = tx.false_alarm_margin, tx.miss_margin
-    sx0, sx1 = _xi_signs(tx, dq.zeta)
+    sx0, sx1 = dq.xi_signs
     label = _xi_label(sx0, sx1)
     if fa == 0.0 and miss == 0.0:
         # an indifferent transmitter settles on coincident signals
@@ -457,8 +457,8 @@ def _nash_avg_report(spec: GameSpec, dq: DerivedQuantities) -> EquilibriumReport
     if sx0 * x + sx1 * y <= 0.0:
         return babbling_report(Concept.NASH, spec, dq, label,
                                Existence.ONLY_DEGENERATE)
-    signals = SignalDesign(-_sign(fa) * x, _sign(miss) * y)
-    rule = optimal_receiver_rule(signals, spec.receiver, spec.noise)
+    signals = SignalDesign(-dq.zeta * sx0 * x, dq.zeta * sx1 * y)
+    rule = _matched_rule(signals, spec.noise, tau, dq.log_tau, dq.zeta)
     risk_t, risk_r = risk_pair(tx, spec.receiver, signals, rule, spec.noise)
     best, _ = nash_avg_best_response(rule, tx, spec.power.p_avg, spec.noise)
     best_t, _ = risk_pair(tx, spec.receiver, best, rule, spec.noise)

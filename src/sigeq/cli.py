@@ -256,15 +256,18 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _fixed_d_rows(spec: GameSpec, values: np.ndarray) -> list[str]:
+def _fixed_d_rows(spec: GameSpec, lo: float, hi: float, steps: int) -> list[str]:
     dq = derived_quantities(spec)
     if not dq.tau.is_finite:
         raise SpecError("param d: requires a finite threshold ratio")
     tau = dq.tau.finite_value()
-    if values[0] < 0.0 or values[-1] > dq.d_max + _D_RANGE_TOL:
+    if not np.isfinite((lo, hi)).all():
+        raise SpecError("param d: range must be finite")
+    # the range may run either way
+    if min(lo, hi) < 0.0 or max(lo, hi) > dq.d_max + _D_RANGE_TOL:
         raise SpecError("param d: range must lie within [0, d_max]")
     rows = []
-    for v in values:
+    for v in np.linspace(lo, hi, steps):
         v = float(v)
         if v == 0.0:
             p10, p01 = _fixed_error_probs(prior_only_rule(tau, dq.zeta))
@@ -283,13 +286,12 @@ def cmd_sweep(args) -> int:
     base = spec_from_config(doc)
     if args.steps < 1:
         raise SpecError("steps: must be at least 1")
-    values = np.linspace(args.min, args.max, args.steps)
     if args.param == "d":
-        rows = _fixed_d_rows(base, values)
+        rows = _fixed_d_rows(base, args.min, args.max, args.steps)
     else:
         concept = Concept(args.concept)
         rows = []
-        for v in values:
+        for v in np.linspace(args.min, args.max, args.steps):
             spec_v = _sweep_spec(doc, base, args.param, float(v))
             report = solve_game(spec_v, concept)
             rows.append(",".join([

@@ -93,15 +93,23 @@ class AgentParams:
     """Priors and decision costs of one agent.
 
     Priors must be strictly positive and sum to one within 1e-12; costs must
-    be finite and nonnegative.  The two cost margins that drive every result
-    are exposed as properties: ``false_alarm_margin`` (C10 - C00, the extra
-    cost of deciding H1 under H0) and ``miss_margin`` (C01 - C11, the extra
-    cost of deciding H0 under H1).
+    be finite and nonnegative.  The cost entries ``c00``...``c11`` and the
+    two cost margins that drive every result are stored once, at
+    construction: ``false_alarm_margin`` (C10 - C00, the extra cost of
+    deciding H1 under H0) and ``miss_margin`` (C01 - C11, the extra cost of
+    deciding H0 under H1).  They are left out of ``repr``, ``==`` and
+    ``hash``, which see only the priors and ``costs``.
     """
 
     prior0: float
     prior1: float
     costs: tuple[tuple[float, float], tuple[float, float]]
+    c00: float = field(init=False, repr=False, compare=False)
+    c01: float = field(init=False, repr=False, compare=False)
+    c10: float = field(init=False, repr=False, compare=False)
+    c11: float = field(init=False, repr=False, compare=False)
+    false_alarm_margin: float = field(init=False, repr=False, compare=False)
+    miss_margin: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prior0", float(self.prior0))
@@ -109,55 +117,27 @@ class AgentParams:
         rows = tuple(self.costs)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise SpecError("costs: expected a 2x2 matrix indexed [decision][truth]")
-        object.__setattr__(
-            self,
-            "costs",
-            (
-                (float(rows[0][0]), float(rows[0][1])),
-                (float(rows[1][0]), float(rows[1][1])),
-            ),
-        )
+        (c00, c01), (c10, c11) = rows
+        flat = (float(c00), float(c01), float(c10), float(c11))
+        c00, c01, c10, c11 = flat
+        object.__setattr__(self, "costs", ((c00, c01), (c10, c11)))
         if not (self.prior0 > 0.0 and self.prior1 > 0.0):
             raise SpecError("prior0: priors must be strictly positive")
         if abs(self.prior0 + self.prior1 - 1.0) > _PRIOR_TOL:
             raise SpecError("prior0: prior0 + prior1 must equal 1 within 1e-12")
-        flat = self.costs[0] + self.costs[1]
-        if not all(math.isfinite(c) for c in flat):
+        if not all(map(math.isfinite, flat)):
             raise SpecError("costs: entries must be finite")
-        if not all(c >= 0.0 for c in flat):
+        if min(flat) < 0.0:
             raise SpecError("costs: entries must be nonnegative")
+        # past the frozen guard, as object.__setattr__ would, in one call
+        vars(self).update(c00=c00, c01=c01, c10=c10, c11=c11,
+                          false_alarm_margin=c10 - c00, miss_margin=c01 - c11)
 
     @classmethod
     def from_prior0(
         cls, prior0: float, costs: tuple[tuple[float, float], tuple[float, float]]
     ) -> "AgentParams":
         return cls(float(prior0), 1.0 - float(prior0), costs)
-
-    @property
-    def c00(self) -> float:
-        return self.costs[0][0]
-
-    @property
-    def c01(self) -> float:
-        return self.costs[0][1]
-
-    @property
-    def c10(self) -> float:
-        return self.costs[1][0]
-
-    @property
-    def c11(self) -> float:
-        return self.costs[1][1]
-
-    @property
-    def false_alarm_margin(self) -> float:
-        """C10 - C00: extra cost of deciding H1 when H0 is true."""
-        return self.c10 - self.c00
-
-    @property
-    def miss_margin(self) -> float:
-        """C01 - C11: extra cost of deciding H0 when H1 is true."""
-        return self.c01 - self.c11
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,15 +278,24 @@ class Tau:
         return self.value
 
 
+class ReceiverCase(Enum):
+    LRT = "lrt"
+    ALWAYS_H0 = "always-h0"
+    ALWAYS_H1 = "always-h1"
+    INDIFFERENT = "indifferent"
+
+
 @dataclass(frozen=True)
 class DerivedQuantities:
-    """Scalars the equilibrium analysis runs on.
+    """Scalars the equilibrium analysis runs on, derived once per solve.
 
     ``k0``/``k1`` weight the transmitter's two error-probability tails in its
     risk (NaN unless tau is finite).  ``xi0``/``xi1`` are the ratios of
     transmitter to receiver cost margins with the convention 0/0 -> 0.
     ``d_max`` is the largest normalized signal distance the power budget
-    allows.
+    allows.  ``log_tau`` is ln tau (NaN unless tau is finite), ``case`` the
+    ``receiver_case`` and ``xi_signs`` the products zeta * sign(margin) of the
+    transmitter's two margins, which are the signs of xi0/xi1 at a finite tau.
     """
 
     tau: Tau
@@ -316,13 +305,9 @@ class DerivedQuantities:
     xi0: float
     xi1: float
     d_max: float
-
-
-class ReceiverCase(Enum):
-    LRT = "lrt"
-    ALWAYS_H0 = "always-h0"
-    ALWAYS_H1 = "always-h1"
-    INDIFFERENT = "indifferent"
+    log_tau: float
+    case: ReceiverCase
+    xi_signs: tuple[int, int]
 
 
 def receiver_case(receiver: AgentParams) -> ReceiverCase:
@@ -388,15 +373,17 @@ def derived_quantities(spec: GameSpec) -> DerivedQuantities:
     tx = spec.transmitter
     tau = _threshold_ratio(rx)
     zeta = _sign(rx.miss_margin)
+    fa, miss = tx.false_alarm_margin, tx.miss_margin
     if tau.is_finite:
-        k0 = tx.prior0 * zeta * tx.false_alarm_margin * tau.value ** -0.5
-        k1 = tx.prior1 * zeta * tx.miss_margin * tau.value ** 0.5
+        k0 = tx.prior0 * zeta * fa * tau.value ** -0.5
+        k1 = tx.prior1 * zeta * miss * tau.value ** 0.5
+        log_tau = math.log(tau.value)
     else:
-        k0 = math.nan
-        k1 = math.nan
-    xi0 = _margin_ratio(tx.false_alarm_margin, rx.false_alarm_margin)
-    xi1 = _margin_ratio(tx.miss_margin, rx.miss_margin)
-    return DerivedQuantities(tau, zeta, k0, k1, xi0, xi1, d_max_of(spec))
+        k0 = k1 = log_tau = math.nan
+    xi0 = _margin_ratio(fa, rx.false_alarm_margin)
+    xi1 = _margin_ratio(miss, rx.miss_margin)
+    return DerivedQuantities(tau, zeta, k0, k1, xi0, xi1, d_max_of(spec), log_tau,
+                             receiver_case(rx), (_sign(fa) * zeta, _sign(miss) * zeta))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +431,9 @@ class ReceiverRule:
 
     def _direction_norm(self) -> float:
         if isinstance(self.a, np.ndarray):
-            return float(np.linalg.norm(self.a))
+            # the 2-norm as np.linalg.norm computes it
+            flat = self.a.ravel()
+            return math.sqrt(float(flat.dot(flat)))
         return abs(self.a)
 
     @classmethod
@@ -501,7 +490,8 @@ class SignalDesign:
     @property
     def coincident(self) -> bool:
         if isinstance(self.s0, np.ndarray):
-            return bool(np.array_equal(self.s0, self.s1))
+            # np.array_equal without its argument conversions
+            return self.s0.shape == np.shape(self.s1) and bool((self.s0 == self.s1).all())
         return self.s0 == self.s1
 
 
@@ -565,13 +555,17 @@ def conditional_error_probs(d: float, tau: float, zeta: int) -> tuple[float, flo
     d > 0 and a finite positive tau; coincident signals never reach this
     formula (they are handled by the prior-only rule).
     """
+    return _matched_error_probs(d, math.log(tau) if tau > 0.0 else math.nan, zeta)
+
+
+def _matched_error_probs(d: float, log_tau: float, zeta: int) -> tuple[float, float]:
+    """``conditional_error_probs`` given ln tau, NaN standing for a tau <= 0."""
     if not d > 0.0:
         raise SpecError("d: normalized distance must be strictly positive")
-    if not (tau > 0.0 and math.isfinite(tau)):
+    if not math.isfinite(log_tau):
         raise SpecError("tau: must be finite and strictly positive")
     if zeta not in (-1, 1):
         raise SpecError("zeta: must be +1 or -1")
-    log_tau = math.log(tau)
     p10 = q_function(zeta * (log_tau / d + d / 2.0))
     p01 = q_function(zeta * (-log_tau / d + d / 2.0))
     return p10, p01
@@ -612,20 +606,23 @@ def optimal_receiver_rule(signals: SignalDesign, receiver: AgentParams,
     if not ratio.is_finite:
         # both margins share a sign, but their ratio underflowed to 0
         raise SpecError("tau: the matched rule needs a finite threshold ratio")
-    tau = ratio.value
-    zeta = _sign(receiver.miss_margin)
+    return _matched_rule(signals, noise, ratio.value, math.log(ratio.value),
+                         _sign(receiver.miss_margin))
+
+
+def _matched_rule(signals: SignalDesign, noise: NoiseModel, tau: float,
+                  log_tau: float, zeta: int) -> ReceiverRule:
+    """``optimal_receiver_rule`` of an LRT receiver with the given tau > 0,
+    its logarithm and zeta."""
     if signals.coincident:
         return prior_only_rule(tau, zeta)
+    s0, s1 = signals.s0, signals.s1
     if noise.is_scalar:
-        a = zeta * (signals.s1 - signals.s0)
-        eta = zeta * (
-            noise.sigma * noise.sigma * math.log(tau)
-            + (signals.s1 * signals.s1 - signals.s0 * signals.s0) / 2.0
-        )
+        a = zeta * (s1 - s0)
+        eta = zeta * (noise.sigma * noise.sigma * log_tau + (s1 * s1 - s0 * s0) / 2.0)
         return ReceiverRule.threshold(a, eta)
-    diff = signals.s1 - signals.s0
-    w = np.linalg.solve(noise.covariance, diff)
-    eta = zeta * (math.log(tau) + 0.5 * float(w @ (signals.s1 + signals.s0)))
+    w = np.linalg.solve(noise.covariance, s1 - s0)
+    eta = zeta * (log_tau + 0.5 * float(w.dot(s1 + s0)))
     return ReceiverRule.threshold(zeta * w, eta)
 
 

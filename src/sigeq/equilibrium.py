@@ -2,10 +2,12 @@
 
 The receiver always plays the matched threshold rule, so each concept comes
 down to a choice of the normalized distance d.  Every solve derives the
-game's scalars and, if tau is not finite, reports the degenerate rule.  Else
-the concept's chooser picks a case label, an existence tag and d* (team:
-d_max; leader-follower: ``classify_transmitter_preference``) or, for Nash,
-the full-power levels of its sign analysis.  The coincident pair gets the
+game's scalars once, into one ``DerivedQuantities`` record (tau and ln tau,
+zeta, k0, k1, the receiver case, the xi signs and d_max); every later step
+reads them from it.  If tau is not finite, the solve reports the degenerate
+rule.  Else the concept's chooser picks a case label, an existence tag and d*
+(team: d_max; leader-follower: ``classify_transmitter_preference``) or, for
+Nash, the full-power levels of its sign analysis.  The coincident pair gets the
 prior-only report; any other pair is placed by the channel's realizer
 (scalar peak, vector peak or average power), and its rule matched and report
 filled.  Nash under an average-power budget has its own budget split and
@@ -30,13 +32,13 @@ from .detection import (
     SignalDesign,
     SpecError,
     _FIXED_RULES,
+    _fixed_error_probs,
+    _matched_error_probs,
+    _matched_rule,
     bayes_risk,
     conditional_error_probs,
     derived_quantities,
-    optimal_receiver_rule,
     prior_only_rule,
-    receiver_case,
-    risk_pair,
 )
 
 __all__ = [
@@ -57,7 +59,6 @@ class Concept(Enum):
 class Existence(Enum):
     EXISTS = "exists"
     ONLY_DEGENERATE = "only-degenerate"
-    NONE = "none"
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +113,10 @@ def degenerate_receiver_report(concept: Concept, spec: GameSpec,
     Applies whenever tau is not finite: the rule is fixed by the cost-margin
     case, every signal pair is equivalent, and the zero pair is reported.
     """
-    case = receiver_case(spec.receiver)
-    if case is ReceiverCase.LRT:
+    if dq.case is ReceiverCase.LRT:
         raise SpecError("tau: finite threshold games have no degenerate receiver")
     return _zero_pair_report(concept, spec, dq, "degenerate", Existence.EXISTS,
-                             _FIXED_RULES[case])
+                             _FIXED_RULES[dq.case])
 
 
 def babbling_report(concept: Concept, spec: GameSpec, dq: DerivedQuantities,
@@ -130,14 +130,20 @@ def babbling_report(concept: Concept, spec: GameSpec, dq: DerivedQuantities,
     return _zero_pair_report(concept, spec, dq, case_label, existence, rule)
 
 
+# one immutable zero pair per channel dimension (0: scalar), shared by reports
+_ZERO_PAIRS: dict[int, SignalDesign] = {}
+
+
 def _zero_pair_report(concept: Concept, spec: GameSpec, dq: DerivedQuantities,
                       case_label: str, existence: Existence,
                       rule: ReceiverRule) -> EquilibriumReport:
-    if spec.noise.is_scalar:
-        signals = SignalDesign(0.0, 0.0)
-    else:
-        signals = SignalDesign(np.zeros(spec.dimension), np.zeros(spec.dimension))
-    risk_t, risk_r = risk_pair(spec.transmitter, spec.receiver, signals, rule, spec.noise)
+    """Report of the zero pair under a rule that ignores the observation."""
+    key = 0 if spec.noise.is_scalar else spec.dimension
+    signals = _ZERO_PAIRS.get(key)
+    if signals is None:
+        zero = np.zeros(key) if key else 0.0
+        signals = _ZERO_PAIRS[key] = SignalDesign(zero, zero)
+    p10, p01 = _fixed_error_probs(rule)
     return EquilibriumReport(
         concept=concept,
         case_label=case_label,
@@ -146,8 +152,8 @@ def _zero_pair_report(concept: Concept, spec: GameSpec, dq: DerivedQuantities,
         d_max=dq.d_max,
         signals=signals,
         rule=rule,
-        risk_t=risk_t,
-        risk_r=risk_r,
+        risk_t=bayes_risk(spec.transmitter, p10, p01),
+        risk_r=bayes_risk(spec.receiver, p10, p01),
         existence=existence,
     )
 
@@ -205,20 +211,19 @@ def _solve(spec: GameSpec, concept: Concept) -> EquilibriumReport:
         place = _place_scalar_peak
     else:
         place = _place_vector_peak
-    tau = dq.tau.value
     if concept is Concept.TEAM:
         choice = _Choice("informative", Existence.EXISTS, dq.d_max)
     elif concept is Concept.STACKELBERG:
-        pref = classify_transmitter_preference(dq.k0, dq.k1, tau, dq.d_max)
-        choice = _Choice(pref.case_label, Existence.EXISTS,
-                         pref.d_star if pref.d_star != 0.0 else None)
+        label, d_star = _preference(dq.k0, dq.k1, dq.tau.value, dq.log_tau, dq.d_max)
+        choice = _Choice(label, Existence.EXISTS, d_star if d_star != 0.0 else None)
     else:
-        choice = _nash_choice(spec.transmitter, spec.power, dq.zeta)
+        choice = _nash_choice(dq, spec.power)
     if choice.d_star is None and choice.levels is None:
         return babbling_report(concept, spec, dq, choice.label, choice.existence)
     signals, d_star = place(spec, dq, choice)
-    rule = optimal_receiver_rule(signals, spec.receiver, spec.noise)
-    risks = informative_risks(spec.transmitter, spec.receiver, d_star, tau, dq.zeta)
+    rule = _matched_rule(signals, spec.noise, dq.tau.value, dq.log_tau, dq.zeta)
+    p10, p01 = _matched_error_probs(d_star, dq.log_tau, dq.zeta)
+    risks = bayes_risk(spec.transmitter, p10, p01), bayes_risk(spec.receiver, p10, p01)
     return _informative_report(concept, dq, choice.label, signals, rule, d_star, risks)
 
 
@@ -244,7 +249,7 @@ def _informative_report(concept: Concept, dq: DerivedQuantities, case_label: str
 # The choosers and realizers live with their concepts and channels, whose
 # modules import this one for the report type and the pipeline; so they are
 # bound here, once everything above is defined.
-from .stackelberg import classify_transmitter_preference  # noqa: E402
+from .stackelberg import _preference  # noqa: E402
 from .nash import _nash_choice  # noqa: E402
 from .vector import _place_vector_peak  # noqa: E402
 from .avgpower import _nash_avg_report, _place_avg  # noqa: E402

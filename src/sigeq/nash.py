@@ -10,9 +10,10 @@ informative fixed point.  The coincident-signal outcome (prior-only rule,
 direction 0) is an equilibrium in every game with a finite tau, and is the
 only one when the consistency condition fails.
 
-That sign analysis (``_nash_choice``) is the Nash chooser of the solve
-pipeline in ``equilibrium`` on both peak-power channels; the average-power
-game shares its xi signs and ``xi(., .)`` label.
+That sign analysis (``_nash_choice``), on the xi signs of the derived
+record, is the Nash chooser of the solve pipeline in ``equilibrium`` on both
+peak-power channels; the average-power game shares those signs and the
+``xi(., .)`` label.
 """
 
 import math
@@ -21,6 +22,7 @@ from enum import Enum
 
 from .detection import (
     AgentParams,
+    DerivedQuantities,
     GameSpec,
     NoiseModel,
     PeakPower,
@@ -80,21 +82,13 @@ def best_response_receiver(signals: SignalDesign, receiver: AgentParams,
     return optimal_receiver_rule(signals, receiver, noise)
 
 
-def _xi_signs(transmitter: AgentParams, zeta: int) -> tuple[int, int]:
-    # sign of each cost-mismatch ratio, as a sign product (never a division)
-    return (
-        _sign(transmitter.false_alarm_margin) * zeta,
-        _sign(transmitter.miss_margin) * zeta,
-    )
-
-
 def _xi_label(sx0: int, sx1: int) -> str:
     return f"xi({_SIGN_MARKS[sx0]},{_SIGN_MARKS[sx1]})"
 
 
-def _nash_choice(transmitter: AgentParams, power: PeakPower, zeta: int) -> _Choice:
+def _nash_choice(dq: DerivedQuantities, power: PeakPower) -> _Choice:
     """Nash outcome of a peak-power game with a finite tau, by the xi signs."""
-    sx0, sx1 = _xi_signs(transmitter, zeta)
+    sx0, sx1 = dq.xi_signs
     label = _xi_label(sx0, sx1)
     if sx0 == 0 or sx1 == 0:
         # an indifferent transmitter settles on coincident signals
@@ -113,7 +107,7 @@ def _nash_choice(transmitter: AgentParams, power: PeakPower, zeta: int) -> _Choi
         if consistency < 0.0:
             return _Choice(label, Existence.ONLY_DEGENERATE)
     return _Choice(label, Existence.EXISTS,
-                   levels=(-zeta * sx0 * root0, zeta * sx1 * root1))
+                   levels=(-dq.zeta * sx0 * root0, dq.zeta * sx1 * root1))
 
 
 def solve_nash(spec: GameSpec) -> EquilibriumReport:

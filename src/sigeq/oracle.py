@@ -267,9 +267,8 @@ def grid_search_transmitter(spec: GameSpec, concept: Concept,
     risks[0] = bayes_risk(tx, p10_0, p01_0)
 
     pos = ds[1:]
-    log_tau = math.log(tau)
-    p10 = 0.5 * erfc(dq.zeta * (log_tau / pos + pos / 2.0) / _SQRT2)
-    p01 = 0.5 * erfc(dq.zeta * (-log_tau / pos + pos / 2.0) / _SQRT2)
+    p10 = 0.5 * erfc(dq.zeta * (dq.log_tau / pos + pos / 2.0) / _SQRT2)
+    p01 = 0.5 * erfc(dq.zeta * (-dq.log_tau / pos + pos / 2.0) / _SQRT2)
     risks[1:] = bayes_risk(tx, p10, p01)
     i = int(np.argmin(risks))
     return float(ds[i]), float(risks[i])

@@ -19,8 +19,9 @@ Boundary conventions: bend = 0 and slope = 0 route to the >= branches, and a
 transmitter with both cost margins zero (risk constant in d) reports the
 non-informative outcome ("flat").
 
-``classify_transmitter_preference`` is the leader-follower chooser of the
-solve pipeline in ``equilibrium``, on every channel.
+``classify_transmitter_preference``, given ln tau from the derived record
+(``_preference``), is the leader-follower chooser of the solve pipeline in
+``equilibrium``, on every channel.
 
 ``robustness_scan`` probes the paper's fragility claim around a team point:
 it offsets the transmitter's priors and costs and re-solves through the same
@@ -32,7 +33,7 @@ full d_max, while the peak-power Nash pair does not move at all.
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .detection import (
     AgentParams,
@@ -80,11 +81,19 @@ def endpoint_rule(k0: float, k1: float, tau: float, d_max: float) -> EndpointCho
     it maximizes the information available to the receiver at no cost to the
     transmitter.
     """
-    if not (tau > 0.0 and math.isfinite(tau)):
+    log_tau = math.log(tau) if tau > 0.0 else math.nan
+    informative = _endpoint_informative(k0, k1, tau, log_tau, d_max)
+    return EndpointChoice.MAX_SEPARATION if informative else EndpointChoice.BABBLING
+
+
+def _endpoint_informative(k0: float, k1: float, tau: float, log_tau: float,
+                          d_max: float) -> bool:
+    """``endpoint_rule`` given ln tau (NaN for a tau <= 0): True for the
+    informative end."""
+    if not math.isfinite(log_tau):
         raise SpecError("tau: must be finite and strictly positive")
     if not d_max > 0.0:
         raise SpecError("d_max: must be strictly positive")
-    log_tau = math.log(tau)
     if log_tau * (k0 - k1) < 0.0 or k0 + k1 < 0.0:
         raise SpecError("endpoint comparison applies only to the increasing-then-decreasing shape")
     if k0 == 0.0 and k1 == 0.0:
@@ -98,7 +107,7 @@ def endpoint_rule(k0: float, k1: float, tau: float, d_max: float) -> EndpointCho
     expr = coeff * q_function(abs(log_tau) / d_max - d_max / 2.0) - q_function(
         abs(log_tau) / d_max + d_max / 2.0
     )
-    return EndpointChoice.MAX_SEPARATION if expr >= 0.0 else EndpointChoice.BABBLING
+    return expr >= 0.0
 
 
 @dataclass(frozen=True)
@@ -110,29 +119,34 @@ class TransmitterPreference:
 def classify_transmitter_preference(k0: float, k1: float, tau: float,
                                     d_max: float) -> TransmitterPreference:
     """Optimal normalized distance for the leader, by the sign grid above."""
-    log_tau = math.log(tau)
+    return TransmitterPreference(*_preference(k0, k1, tau, math.log(tau), d_max))
+
+
+def _preference(k0: float, k1: float, tau: float, log_tau: float,
+                d_max: float) -> tuple[str, float]:
+    """(case label, d*) of ``classify_transmitter_preference`` given ln tau;
+    the leader-follower chooser of the solve pipeline."""
     bend = log_tau * (k0 - k1)
     slope = k0 + k1
     if bend < 0.0:
         if slope >= 0.0:
-            return TransmitterPreference("case-1", d_max)
+            return "case-1", d_max
         ratio = abs(2.0 * bend / slope)
         if d_max * d_max < ratio:
-            return TransmitterPreference("case-2", d_max)
-        return TransmitterPreference("case-3", math.sqrt(ratio))
+            return "case-2", d_max
+        return "case-3", math.sqrt(ratio)
     if slope < 0.0:
-        return TransmitterPreference("case-4", 0.0)
+        return "case-4", 0.0
     if k0 == 0.0 and k1 == 0.0:
         # risk constant in d; minimal separation is the canonical report
-        return TransmitterPreference("flat", 0.0)
+        return "flat", 0.0
     numer = abs(2.0 * bend)
     ratio = 0.0 if numer == 0.0 else (math.inf if slope == 0.0 else numer / slope)
     if d_max * d_max < ratio:
-        return TransmitterPreference("case-5", 0.0)
-    choice = endpoint_rule(k0, k1, tau, d_max)
-    if choice is EndpointChoice.MAX_SEPARATION:
-        return TransmitterPreference("case-6", d_max)
-    return TransmitterPreference("case-6", 0.0)
+        return "case-5", 0.0
+    if _endpoint_informative(k0, k1, tau, log_tau, d_max):
+        return "case-6", d_max
+    return "case-6", 0.0
 
 
 def solve_stackelberg(spec: GameSpec) -> EquilibriumReport:
@@ -159,21 +173,9 @@ class Perturbation:
     eps_c10: float = 0.0
     eps_c11: float = 0.0
 
-    @classmethod
-    def from_vector(cls, v: Sequence[float]) -> "Perturbation":
-        if len(v) != 6:
-            raise SpecError("perturbation: expected 6 offsets")
-        return cls(*[float(x) for x in v])
-
     @property
     def renormalizes(self) -> bool:
         return self.eps_prior0 == -self.eps_prior1
-
-    def norm(self) -> float:
-        return math.sqrt(
-            self.eps_prior0 ** 2 + self.eps_prior1 ** 2 + self.eps_c00 ** 2
-            + self.eps_c01 ** 2 + self.eps_c10 ** 2 + self.eps_c11 ** 2
-        )
 
     def applied_to(self, base: AgentParams) -> AgentParams:
         return AgentParams(

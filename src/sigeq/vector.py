@@ -88,16 +88,16 @@ def _covariance_axis(noise: NoiseModel) -> EigenPair:
 
 def _signed_pair(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> EigenPair:
     """The first pair of ``eigh``'s output, sign-fixed and residual-checked."""
-    vec = vectors[:, 0].copy()
-    nonzero = np.nonzero(np.abs(vec) > 1e-12)[0]
-    if nonzero.size and vec[nonzero[0]] < 0.0:
-        vec = -vec
+    column = vectors[:, 0]
+    # the sign of the first entry above 1e-12 in magnitude, read as floats
+    lead = next((x for x in column.tolist() if abs(x) > 1e-12), 0.0)
+    vec = -column if lead < 0.0 else column.copy()
     value = float(values[0])
-    r = a @ vec - value * vec
+    r = a.dot(vec) - value * vec
     flat = a.ravel()
     # the 2-norm and the Frobenius norm, as np.linalg.norm computes them
-    residual = math.sqrt(float(r @ r))
-    if residual > _RESIDUAL_TOL * math.sqrt(float(flat @ flat)):
+    residual = math.sqrt(float(r.dot(r)))
+    if residual > _RESIDUAL_TOL * math.sqrt(float(flat.dot(flat))):
         raise ArithmeticError("eigenpair residual exceeded tolerance")
     vec.setflags(write=False)
     return EigenPair(value, vec, residual)

@@ -155,6 +155,26 @@ def test_sweep_rejects_distances_outside_the_envelope():
     assert "error:" in err and "d_max" in err
 
 
+@pytest.mark.parametrize("lo,hi", [(30, 0), (0, 30)])
+def test_sweep_checks_both_ends_of_a_distance_range(lo, hi):
+    # demo.json has d_max = 20; a descending range is checked like an
+    # ascending one
+    code, out, err = run_cli(["sweep", "--config", CONFIGS / "demo.json",
+                              "--concept", "stackelberg", "--param", "d",
+                              "--min", lo, "--max", hi, "--steps", 4])
+    assert code == 2 and out == ""
+    assert "error: param d: range must lie within [0, d_max]" in err
+
+
+@pytest.mark.parametrize("lo,hi", [(0, "nan"), ("nan", 1), (0, "inf")])
+def test_sweep_rejects_a_non_finite_distance_range(lo, hi):
+    code, out, err = run_cli(["sweep", "--config", CONFIGS / "demo.json",
+                              "--concept", "stackelberg", "--param", "d",
+                              "--min", lo, "--max", hi, "--steps", 3])
+    assert code == 2 and out == ""
+    assert "error: param d: range must be finite" in err
+
+
 def test_sweep_cost_perturbation_flips_informativeness():
     # at sigma = 30 the saturated optimum is brittle: a one-cost nudge of
     # magnitude 0.005 moves it between case-1/6 (informative) and case-5 (not)

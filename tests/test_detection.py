@@ -1,6 +1,8 @@
 """Detection primitives: tail function, derived scalars, rules, risks."""
 
+import dataclasses
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ from scipy.stats import norm
 from sigeq import (
     AgentParams,
     AveragePower,
+    Concept,
     GameSpec,
     NoiseModel,
     PeakPower,
+    Perturbation,
     ReceiverCase,
     ReceiverRule,
     RuleKind,
@@ -22,9 +26,11 @@ from sigeq import (
     TauKind,
     bayes_risk,
     check_power,
+    classify_transmitter_preference,
     conditional_error_probs,
     d_max_of,
     derived_quantities,
+    informative_risks,
     optimal_receiver_rule,
     prior_only_rule,
     q_function,
@@ -33,7 +39,9 @@ from sigeq import (
     rule_error_probs,
     rules_equal,
     signals_equal,
+    solve,
 )
+from sigeq import avgpower, equilibrium
 from conftest import (DEMO_RX, DEMO_TX, demo_spec, random_agent, random_scalar_spec,
                       random_spd_matrix)
 
@@ -93,6 +101,32 @@ def test_agent_margins_use_decision_major_layout():
     assert agent.c10 == 0.9 and agent.c11 == 0.0
     assert agent.false_alarm_margin == 0.9
     assert agent.miss_margin == 0.4
+
+
+def test_agent_stores_costs_and_margins_outside_repr_and_equality():
+    agent = AgentParams.from_prior0(0.25, ((0.5, 0.4), (0.9, 0.125)))
+    # perfbench and the golden scripts key specs by this string
+    assert repr(agent) == ("AgentParams(prior0=0.25, prior1=0.75, "
+                           "costs=((0.5, 0.4), (0.9, 0.125)))")
+    assert agent.false_alarm_margin == 0.9 - 0.5 == agent.c10 - agent.c00
+    assert agent.miss_margin == 0.4 - 0.125 == agent.c01 - agent.c11
+    stored = {f.name for f in dataclasses.fields(AgentParams) if not f.init}
+    assert stored == {"c00", "c01", "c10", "c11", "false_alarm_margin", "miss_margin"}
+    twin = AgentParams(0.25, 0.75, ((0.5, 0.4), (0.9, 0.125)))
+    for name in stored:
+        object.__setattr__(twin, name, -1.0)
+    assert twin == agent and hash(twin) == hash(agent)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        agent.miss_margin = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        agent.c00 = 1.0
+    moved = dataclasses.replace(agent, costs=((0.0, 2.0), (1.0, 0.5)))
+    assert (moved.c00, moved.c01, moved.c10, moved.c11) == (0.0, 2.0, 1.0, 0.5)
+    assert (moved.false_alarm_margin, moved.miss_margin) == (1.0, 1.5)
+    moved = Perturbation(eps_c00=0.25, eps_c11=-0.125).applied_to(agent)
+    assert (moved.c00, moved.c11) == (0.75, 0.0)
+    assert moved.false_alarm_margin == 0.9 - 0.75
+    assert moved.miss_margin == 0.4
 
 
 def test_noise_model_validation():
@@ -200,6 +234,20 @@ def test_threshold_ratio_tags():
     assert tagged(((1.0, 2.0), (1.0, 2.0))).kind is TauKind.INDIFFERENT
     with pytest.raises(SpecError):
         tagged(((1.0, 1.0), (1.0, 0.0))).finite_value()
+
+
+def test_derived_record_carries_what_the_pipeline_reads():
+    dq = derived_quantities(demo_spec())
+    assert dq.log_tau == math.log(dq.tau.value)
+    assert dq.case is ReceiverCase.LRT
+    # demo transmitter: fa = -0.2, miss = -0.2, zeta = +1
+    assert dq.xi_signs == (-1, -1)
+    assert dq.xi0 < 0.0 and dq.xi1 < 0.0
+    rx = AgentParams.from_prior0(0.5, ((0.0, 1.0), (1.0, 1.0)))  # miss = 0
+    tx = AgentParams.from_prior0(0.5, ((0.0, 1.0), (2.0, 0.0)))
+    dq = derived_quantities(GameSpec(tx, rx, NoiseModel.scalar(1.0), PeakPower(1.0, 1.0)))
+    assert dq.tau.kind is TauKind.INFINITE and math.isnan(dq.log_tau)
+    assert dq.case is ReceiverCase.ALWAYS_H0 and dq.xi_signs == (0, 0)
 
 
 def test_transmitter_tail_weights_match_hand_values():
@@ -425,3 +473,172 @@ def test_equality_helpers_tolerance():
     assert not rules_equal(a, ReceiverRule.always_h0())
     assert not signals_equal(SignalDesign(np.zeros(2), np.zeros(2)),
                              SignalDesign(0.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# the solve path reads ln tau, zeta and the xi signs from the derived record;
+# its matched rule, error probabilities and leader preference must be the
+# public primitives' to the bit
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _record_agent(rng) -> AgentParams:
+    prior0 = float(rng.uniform(0.05, 0.95))
+    if rng.uniform() < 0.25:
+        costs = rng.choice([0.0, 0.5, 1.0], size=4)  # zero margins and ties
+    else:
+        costs = rng.uniform(0.0, 2.0, size=4)
+    c = [float(x) for x in costs]
+    return AgentParams.from_prior0(prior0, ((c[0], c[1]), (c[2], c[3])))
+
+
+def _record_game(rng, channel: str, identical: bool, finite_tau: bool,
+                 dim: int) -> GameSpec:
+    while True:
+        tx = _record_agent(rng)
+        rx = tx if identical else _record_agent(rng)
+        if channel == "vector":
+            spec = GameSpec(tx, rx, NoiseModel.matrix(random_spd_matrix(rng, dim)),
+                            PeakPower(float(rng.uniform(0.25, 4.0)),
+                                      float(rng.uniform(0.25, 4.0))), dimension=dim)
+        else:
+            power = (AveragePower(float(rng.uniform(0.25, 4.0))) if channel == "avg"
+                     else PeakPower(float(rng.uniform(0.25, 4.0)),
+                                    float(rng.uniform(0.25, 4.0))))
+            spec = GameSpec(tx, rx, NoiseModel.scalar(float(rng.uniform(0.2, 2.0))),
+                            power)
+        if derived_quantities(spec).tau.is_finite == finite_tau:
+            return spec
+
+
+def _concepts(spec: GameSpec) -> list[Concept]:
+    both = [Concept.STACKELBERG, Concept.NASH]
+    return [Concept.TEAM] + both if spec.transmitter == spec.receiver else both
+
+
+@pytest.mark.parametrize("channel", ["scalar", "vector", "avg"])
+def test_solve_path_equals_the_public_primitives(channel):
+    rng = np.random.default_rng({"scalar": 31, "vector": 32, "avg": 33}[channel])
+    informative = 0
+    for k in range(192):
+        identical, finite_tau = bool(k % 2), bool(k // 2 % 2)
+        spec = _record_game(rng, channel, identical, finite_tau, 1 + k // 4 % 16)
+        tx, rx, noise = spec.transmitter, spec.receiver, spec.noise
+        for concept in _concepts(spec):
+            rep = solve(spec, concept)
+            rule = optimal_receiver_rule(rep.signals, rx, noise)
+            assert rule.kind is rep.rule.kind
+            assert _bits(rule.a) == _bits(rep.rule.a)
+            assert _bits(rule.eta) == _bits(rep.rule.eta)
+            if rep.informative and not (channel == "avg" and concept is Concept.NASH):
+                dq = derived_quantities(spec)
+                want = informative_risks(tx, rx, rep.d_star, dq.tau.value, dq.zeta)
+                informative += 1
+            else:
+                # the zero pair, and average-power Nash, are scored by the rule
+                want = risk_pair(tx, rx, rep.signals, rep.rule, noise)
+            assert _bits((rep.risk_t, rep.risk_r)) == _bits(want)
+    assert informative >= 100
+
+
+def _log_uniform(rng, lo: float, hi: float) -> float:
+    return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
+
+
+def _extreme_agent(rng) -> AgentParams:
+    """Priors near 0 or 1 half the time, and costs 0, O(1) or anywhere in
+    [1e-300, 1e300]."""
+    if rng.uniform() < 0.5:
+        prior0 = float(rng.uniform(0.01, 0.99))
+    else:
+        small = _log_uniform(rng, 1e-300, 1e-2)
+        prior0 = small if rng.uniform() < 0.5 else 1.0 - small
+    costs = []
+    for _ in range(4):
+        pick = rng.integers(3)
+        costs.append(0.0 if pick == 0 else float(rng.uniform(0.0, 2.0)) if pick == 1
+                     else _log_uniform(rng, 1e-300, 1e300))
+    return AgentParams.from_prior0(prior0, ((costs[0], costs[1]), (costs[2], costs[3])))
+
+
+def _extreme_game(rng) -> GameSpec:
+    tx = _extreme_agent(rng)
+    rx = tx if rng.uniform() < 0.3 else _extreme_agent(rng)
+    pick = rng.uniform()
+    if pick < 0.3:
+        variances = [_log_uniform(rng, 1e-300, 1e300) for _ in range(2)]
+        return GameSpec(tx, rx, NoiseModel.matrix(np.diag(variances)),
+                        PeakPower(_log_uniform(rng, 1e-300, 1e300),
+                                  _log_uniform(rng, 1e-300, 1e300)), dimension=2)
+    noise = NoiseModel.scalar(_log_uniform(rng, 1e-300, 1e300))
+    if pick < 0.6:
+        return GameSpec(tx, rx, noise, AveragePower(_log_uniform(rng, 1e-300, 1e300)))
+    return GameSpec(tx, rx, noise, PeakPower(_log_uniform(rng, 1e-300, 1e300),
+                                             _log_uniform(rng, 1e-300, 1e300)))
+
+
+def _outcome(run, spec: GameSpec, concept: Concept) -> tuple:
+    """A solve's report to the bit, or the type and message of what it raised."""
+
+    def timed_out(signum, frame):
+        raise TimeoutError("the solve did not return within 2 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(2)
+    try:
+        rep = run(spec, concept)
+    except TimeoutError:
+        raise
+    except Exception as exc:  # compared, not judged: both sides must agree
+        return type(exc).__name__, str(exc)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return (rep.concept, rep.case_label, rep.informative, rep.existence,
+            rep.rule.kind, *map(_bits, (rep.d_star, rep.d_max, rep.risk_t, rep.risk_r,
+                                        rep.rule.a, rep.rule.eta, rep.signals.s0,
+                                        rep.signals.s1)))
+
+
+def _public_solve(spec: GameSpec, concept: Concept):
+    """``solve`` with each step that reads the derived record replaced by the
+    public primitive it stands for."""
+
+    def rule(signals, noise, tau, log_tau, zeta):
+        return optimal_receiver_rule(signals, spec.receiver, noise)
+
+    def error_probs(d, log_tau, zeta):
+        return conditional_error_probs(d, derived_quantities(spec).tau.value, zeta)
+
+    def preference(k0, k1, tau, log_tau, d_max):
+        pref = classify_transmitter_preference(k0, k1, tau, d_max)
+        return pref.case_label, pref.d_star
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equilibrium, "_matched_rule", rule)
+        mp.setattr(avgpower, "_matched_rule", rule)
+        mp.setattr(equilibrium, "_matched_error_probs", error_probs)
+        mp.setattr(equilibrium, "_preference", preference)
+        return solve(spec, concept)
+
+
+# numpy warns where squares of 1e300-sized levels overflow; both sides do so
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_solve_path_equals_the_public_primitives_at_extreme_magnitudes():
+    rng = np.random.default_rng(34)
+    outcomes = {"solved": 0, "raised": 0, "rejected": 0}
+    for _ in range(3000):
+        try:
+            spec = _extreme_game(rng)
+        except SpecError:
+            outcomes["rejected"] += 1
+            continue
+        for concept in _concepts(spec):
+            got = _outcome(solve, spec, concept)
+            assert got == _outcome(_public_solve, spec, concept), (spec, concept)
+            outcomes["raised" if len(got) == 2 else "solved"] += 1
+    # the draw reaches solves, solve-time errors and rejected specs alike
+    assert min(outcomes.values()) >= 100, outcomes

@@ -224,16 +224,13 @@ def test_endpoint_rule_sign_matches_brute_force_on_random_draws():
 
 
 def test_perturbation_container():
-    with pytest.raises(SpecError):
-        Perturbation.from_vector([0.0] * 5)
-    pert = Perturbation.from_vector([0.01, -0.01, 0.0, 0.0, 1e-3, 0.0])
+    pert = Perturbation(0.01, -0.01, 0.0, 0.0, 1e-3, 0.0)
     assert pert.renormalizes
     assert not Perturbation(eps_prior0=0.01).renormalizes
     agent = AgentParams.from_prior0(0.25, ((0.0, 0.4), (0.9, 0.0)))
     moved = pert.applied_to(agent)
     assert moved.prior0 == 0.26 and abs(moved.prior1 - 0.74) <= 1e-15
     assert moved.c10 == pytest.approx(0.901, abs=1e-15)
-    assert pert.norm() == pytest.approx(math.sqrt(2 * 0.01 ** 2 + 1e-6), abs=1e-12)
     grid = single_cost_perturbations(1e-3)
     assert len(grid) == 8
     assert {p.eps_c00 for p in grid} == {0.0, 1e-3, -1e-3}
