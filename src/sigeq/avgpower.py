@@ -135,6 +135,9 @@ def _split_risk(rule: ReceiverRule, tx: AgentParams,
     sign0 = -sa * _sign(fa)
     sign1 = sa * _sign(miss)
     spread = abs(a) * sigma
+    if spread == 0.0:
+        # |a| sigma underflows: scale the rule to |a| = 1 instead
+        a, eta, spread = sa, eta / abs(a), sigma
     base = tx.prior0 * tx.c00 + tx.prior1 * tx.c11
     w10 = tx.prior0 * fa
     w01 = tx.prior1 * miss
@@ -174,7 +177,9 @@ def _arc_coefficients(rule: ReceiverRule, tx: AgentParams, p_avg: float,
     reach = max(x_top, y_top) / sigma
     if not math.isfinite(2.0 * reach * reach):
         raise SpecError("p_avg: sqrt(p_avg / prior) / sigma overflows when squared")
-    e = rule.eta / (abs(rule.a) * sigma)
+    spread = abs(rule.a) * sigma
+    # when |a| sigma underflows to 0, e itself may still be a float
+    e = rule.eta / spread if spread != 0.0 else rule.eta / abs(rule.a) / sigma
     span = abs(e) + reach
     if not math.isfinite(2.0 * span * span):
         raise SpecError("rule: eta / (|a| sigma) overflows when squared")

@@ -372,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one game and print the report")
     common(p_solve)
     p_solve.add_argument("--csv", help="also write the report as one CSV row")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="solve across one varying parameter")
     common(p_sweep)
@@ -382,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--max", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--csv", help="CSV output path (default: stdout)")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_dyn = sub.add_parser("dynamics", help="run alternating best responses")
     common(p_dyn, concept=False)
@@ -390,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="starting rule direction (nonzero)")
     p_dyn.add_argument("--init-eta", type=float, default=0.0)
     p_dyn.add_argument("--csv", help="CSV output path (default: stdout)")
-    p_dyn.set_defaults(func=cmd_dynamics)
 
     p_ver = sub.add_parser("verify",
                            help="check analytic risks against simulation")
@@ -399,14 +396,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--eta-offset", type=float, default=0.0,
                        help="diagnostic: shift the simulated rule threshold")
-    p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
+_parser = None  # built by the first call of main, not at import
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # found by name at each call, so the shared parser holds no command
+    # function and a rebound cmd_* name takes effect
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -651,9 +651,17 @@ def rule_error_probs(signals: SignalDesign, rule: ReceiverRule,
         spread = math.sqrt(float(a @ noise.covariance @ a))
         m0 = float(a @ signals.s0)
         m1 = float(a @ signals.s1)
+    if spread == 0.0:
+        # the spread underflowed: take its limit 0+, a step at each mean
+        return _q_limit(rule.eta - m0), _q_limit(-(rule.eta - m1))
     p10 = q_function((rule.eta - m0) / spread)
     p01 = q_function(-(rule.eta - m1) / spread)
     return p10, p01
+
+
+def _q_limit(x: float) -> float:
+    """Q(x / s) as s goes to 0+."""
+    return 0.5 if x == 0.0 else q_function(x * math.inf)
 
 
 def risk_pair(transmitter: AgentParams, receiver: AgentParams,

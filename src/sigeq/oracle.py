@@ -9,18 +9,18 @@ Both exist to catch mistakes in the closed-form solvers.
 Reproducibility contract: sampling uses the Philox counter-based generator,
 one independent subsequence per (hypothesis, chunk) derived from the master
 seed, and standard normals via the inverse CDF (scipy ndtri) of its
-uniforms.  Chunk results are integer tallies, so their sum does not depend on
-worker scheduling and results are bitwise identical for any thread count.
+uniforms.  Chunks are counted one after another in the calling thread and
+their integer tallies summed in a fixed order, so a seed gives bitwise
+identical results.
 The tallies are exactly those of pushing every uniform through ndtri and the
-decision rule, but most samples never reach ndtri: a scalar chunk is counted
-against the rule's boundary mapped into uniform space, and a vector chunk
-whose boundary lies beyond the sampler's reach is not drawn at all (see
-``_count_h1_scalar`` and ``_count_h1_vector``).
+decision rule, but most samples never reach ndtri: a scalar chunk counts the
+generator's raw 64-bit words against the rule's boundary mapped to integer
+word bounds (the uniform of word w is (w >> 11) * 2**-53, so each bound is
+exact), and a vector chunk whose boundary lies beyond the sampler's reach is
+not drawn at all (see ``_count_h1_scalar`` and ``_count_h1_vector``).
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +50,7 @@ _SQRT2 = math.sqrt(2.0)
 # The sampler's uniforms lie on the lattice k * 2**-53 for 1 <= k < 2**53
 # (random() yields k = 0 too; it is moved to k = 1).
 _U_MIN = 2.0 ** -53
+_LATTICE = 1 << 53
 # Pads a uniform-space bound for the absolute error of ndtr (below 2e-16).
 _U_PAD = 2.0 ** -50
 # Relative guard band of the boundary tests, about 8000 ulps: far above the
@@ -76,25 +77,45 @@ class McEstimate:
     seed: int
 
 
-def _chunk_uniforms(seed: int, hyp: int, chunk: int, shape) -> np.ndarray:
-    gen = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed,
-                                                spawn_key=(hyp, chunk)))
-    )
-    u = gen.random(shape)
-    # random() can return exactly 0, where the inverse CDF diverges
+def _chunk_words(seed: int, hyp: int, chunk: int, size: int) -> np.ndarray:
+    """The chunk's raw 64-bit Philox words, in stream order."""
+    return np.random.Philox(np.random.SeedSequence(
+        entropy=seed, spawn_key=(hyp, chunk))).random_raw(size)
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniforms ``Generator.random`` makes of raw words, bit for bit:
+    word w becomes (w >> 11) * 2**-53."""
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u *= _U_MIN
+    # the word's index can be 0, where the inverse CDF diverges
     u[u == 0.0] = _U_MIN
     return u
+
+
+def _chunk_uniforms(seed: int, hyp: int, chunk: int, shape) -> np.ndarray:
+    words = _chunk_words(seed, hyp, chunk, int(np.prod(shape)))
+    return _uniforms(words).reshape(shape)
 
 
 def _chunk_normals(seed: int, hyp: int, chunk: int, shape) -> np.ndarray:
     return ndtri(_chunk_uniforms(seed, hyp, chunk, shape))
 
 
+def _at_least(words: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the words whose lattice index ``w >> 11`` is at least k."""
+    if k <= 0:
+        return np.ones(words.shape, dtype=bool)
+    if k >= _LATTICE:
+        # k << 11 would not fit in a uint64; no index reaches it
+        return np.zeros(words.shape, dtype=bool)
+    return words >= np.uint64(k << 11)
+
+
 def _count_h1_scalar(seed: int, hyp: int, chunk: int, size: int, signal: float,
                      sigma: float, a: float, eta: float) -> int:
     """Count ``a * (signal + sigma * ndtri(u)) > eta`` over the chunk's
-    uniforms, calling ndtri only near the boundary.
+    uniforms, counting raw words and calling ndtri only near the boundary.
 
     In exact arithmetic the rule declares H1 iff z > t when a > 0 and iff
     z < t when a < 0, with t = (eta/a - signal)/sigma.  The guard band
@@ -106,6 +127,14 @@ def _count_h1_scalar(seed: int, hyp: int, chunk: int, size: int, signal: float,
     and the float rule takes the exact side; likewise for u < lo.  Only
     lo <= u <= hi needs the rule itself.  The argument rests on the accuracy
     of ndtr and ndtri, not on float ndtri being monotone.
+
+    The uniforms are never formed outside the band.  The sampler's uniform
+    of word w is u = k * 2**-53 with the integer k = w >> 11, and k = 0 is
+    moved to k = 1.  Since lo * 2**53 and hi * 2**53 are exact:
+    u > hi iff k >= floor(hi * 2**53) + 1, which the move cannot change as
+    hi >= 2**-50; and u >= lo iff k >= ceil(lo * 2**53) when lo > 2**-53,
+    while every word qualifies when lo <= 2**-53.  An index bound k becomes
+    the word bound k << 11; one of 2**53 or more admits no word.
 
     A band wholly beyond +-_Z_REACH decides the chunk without drawing it.
     (The uniform bounds cannot show this: the pad keeps hi above 2**-50 and
@@ -122,14 +151,18 @@ def _count_h1_scalar(seed: int, hyp: int, chunk: int, size: int, signal: float,
             return 0 if a > 0 else size
         lo = float(ndtr(t - delta)) - _U_PAD
         hi = float(ndtr(t + delta)) + _U_PAD
+        k_lo = math.ceil(lo * _LATTICE) if lo > _U_MIN else 0
+        k_hi = math.floor(hi * _LATTICE) + 1
     else:
-        lo, hi = -math.inf, math.inf
-    u = _chunk_uniforms(seed, hyp, chunk, size)
-    above = int(np.count_nonzero(u > hi))
-    in_band = int(np.count_nonzero(u >= lo)) - above
-    count = above if a > 0 else size - above - in_band
+        k_lo, k_hi = 0, _LATTICE
+    words = _chunk_words(seed, hyp, chunk, size)
+    above = _at_least(words, k_hi)
+    from_lo = _at_least(words, k_lo)
+    n_above = int(np.count_nonzero(above))
+    in_band = int(np.count_nonzero(from_lo)) - n_above
+    count = n_above if a > 0 else size - n_above - in_band
     if in_band:
-        z = ndtri(u[(u >= lo) & (u <= hi)])
+        z = ndtri(_uniforms(words[from_lo & ~above]))
         count += int(np.count_nonzero(a * (signal + sigma * z) > eta))
     return count
 
@@ -155,15 +188,6 @@ def _count_h1_vector(seed: int, hyp: int, chunk: int, size: int,
     z = _chunk_normals(seed, hyp, chunk, (size, chol.shape[0]))
     y = z @ chol.T + signal
     return int(np.count_nonzero(y @ a > eta))
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("SIGEQ_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 1
-    return max(1, value)
 
 
 def mc_estimate(signals: SignalDesign, rule: ReceiverRule, noise: NoiseModel,
@@ -203,25 +227,19 @@ def mc_estimate(signals: SignalDesign, rule: ReceiverRule, noise: NoiseModel,
 
     chunks = [(c * _CHUNK, min(m, (c + 1) * _CHUNK))
               for c in range((m + _CHUNK - 1) // _CHUNK)]
-    jobs = []
+    counts = [0, 0]
     if noise.is_scalar:
         for hyp, signal in ((0, signals.s0), (1, signals.s1)):
             for c, (start, stop) in enumerate(chunks):
-                jobs.append((_count_h1_scalar, seed, hyp, c, stop - start,
-                             signal, noise.sigma, rule.a, rule.eta))
+                counts[hyp] += _count_h1_scalar(seed, hyp, c, stop - start, signal,
+                                                noise.sigma, rule.a, rule.eta)
     else:
         chol = np.linalg.cholesky(noise.covariance)
         a = np.asarray(rule.a, dtype=float)
         for hyp, signal in ((0, signals.s0), (1, signals.s1)):
             for c, (start, stop) in enumerate(chunks):
-                jobs.append((_count_h1_vector, seed, hyp, c, stop - start,
-                             signal, chol, a, rule.eta))
-
-    counts = [0, 0]
-    with ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
-        futures = [pool.submit(job[0], *job[1:]) for job in jobs]
-        for job, fut in zip(jobs, futures):
-            counts[job[2]] += fut.result()
+                counts[hyp] += _count_h1_vector(seed, hyp, c, stop - start, signal,
+                                                chol, a, rule.eta)
 
     p10_hat = counts[0] / m
     p01_hat = (m - counts[1]) / m

@@ -379,6 +379,52 @@ def test_usage_errors_exit_two():
     assert "--concept" in err
 
 
+_RUN_IN_ONE_PROCESS = """
+import contextlib, io, json, os, sys
+from sigeq.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    csv = None
+    if "--csv" in argv:
+        path = argv[argv.index("--csv") + 1]
+        with open(path) as fh:
+            csv = fh.read()
+        os.remove(path)
+    results.append([code, out.getvalue(), err.getvalue(), csv])
+print(json.dumps(results))
+"""
+
+
+def _run_in_one_process(calls):
+    proc = subprocess.run([sys.executable, "-c", _RUN_IN_ONE_PROCESS, json.dumps(calls)],
+                          capture_output=True, text=True, cwd=REPO, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_calls_sharing_the_parser_match_calls_in_a_fresh_process(tmp_path):
+    # the parser is built once per process; no call may see what an earlier
+    # one parsed, whether that set an option, chose a subcommand or failed
+    demo = str(CONFIGS / "demo.json")
+    verify = ["verify", "--config", demo, "--concept", "stackelberg",
+              "--samples", "20000", "--seed", "3"]
+    sweep = ["sweep", "--config", demo, "--concept", "nash",
+             "--param", "noise.sigma", "--min", "0.1", "--max", "1.0", "--steps", "4"]
+    calls = [verify + ["--eta-offset", "0.5"], verify,
+             ["sweep", "--config", demo, "--concept", "nash"],
+             sweep + ["--csv", str(tmp_path / "sweep.csv")], sweep]
+    shared = _run_in_one_process(calls)
+    assert [result[0] for result in shared] == [1, 0, 2, 0, 0]
+    assert shared[3][3] == shared[4][1] != ""
+    for call, result in zip(calls, shared):
+        assert result == _run_in_one_process([call])[0], call
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "sigeq.cli", "solve",

@@ -423,6 +423,34 @@ def test_rule_error_probs_match_conditional_form():
         assert got[1] == pytest.approx(want[1], abs=1e-12)
 
 
+def test_rule_error_probs_take_the_limit_of_an_underflowed_spread():
+    # |a| sigma and a' C a both underflow to 0: each error probability is a
+    # step at its mean, 1/2 on it
+    # (the means a s0 and a s1 are -m and m)
+    scalar = NoiseModel.scalar(1e-300), 1e-300, SignalDesign(-1.0, 1.0), 1e-300
+    vector = (NoiseModel.matrix(np.diag([1e-300, 1.0])), np.array([1e-160, 0.0]),
+              SignalDesign(np.array([-1.0, 5.0]), np.array([1.0, -5.0])), 1e-160)
+    for noise, a, signals, m in (scalar, vector):
+        for eta, want in ((0.0, (0.0, 0.0)), (-m, (0.5, 0.0)), (m, (0.0, 0.5)),
+                          (-2.0 * m, (1.0, 0.0)), (2.0 * m, (0.0, 1.0))):
+            rule = ReceiverRule.threshold(a, eta)
+            assert rule_error_probs(signals, rule, noise) == want, (a, eta)
+
+
+def test_underflowed_spread_solves_under_every_concept():
+    # the matched rule's |a| sigma underflows to 0 on this accepted game
+    agent = AgentParams(0.3050099564181459, 0.6949900435818541,
+                        ((1.4202443787659971e+250, 0.0),
+                         (280.6498943805211, 7.148881349545917e+151)))
+    spec = GameSpec(agent, agent, NoiseModel.scalar(2.2541618282531695e-248),
+                    AveragePower(9.38330664801751e-236))
+    for concept in Concept:
+        rep = solve(spec, concept)
+        assert math.isfinite(rep.risk_t) and math.isfinite(rep.risk_r)
+        assert (rep.risk_t, rep.risk_r) == risk_pair(agent, agent, rep.signals,
+                                                     rep.rule, spec.noise)
+
+
 def test_optimal_rule_minimizes_posterior_cost_pointwise():
     rng = np.random.default_rng(21)
     checked = 0

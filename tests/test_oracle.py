@@ -188,7 +188,7 @@ def _scalar_case(rng):
     sigma = float(10.0 ** rng.uniform(-3.0, 2.0))
     a = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0))
     u = _brute_uniforms(seed, hyp, chunk, size)
-    mode = rng.integers(0, 4)
+    mode = rng.integers(0, 5)
     if mode == 0:    # on a sampled observation, as the rule computes it
         k = int(rng.integers(0, size))
         eta = _near(a * (signal + sigma * ndtri(u[k:k + 1]))[0], rng)
@@ -197,24 +197,50 @@ def _scalar_case(rng):
     elif mode == 2:  # beyond the lattice's extreme normals
         t = float(rng.choice([-1.0, 1.0]) * rng.uniform(8.21, 40.0))
         eta = a * (signal + sigma * t)
-    else:            # on the lattice's extreme normals
+    elif mode == 3:  # on the lattice's extreme normals
         eta = _near(a * (signal + sigma * rng.choice([-1.0, 1.0])
                          * ndtri(np.array([2.0 ** -53])))[0], rng)
+    else:            # a band touching an end: lo <= 2**-53 or hi >= 1 - 2**-53
+        t = float(rng.choice([-1.0, 1.0]) * rng.uniform(7.95, 8.25))
+        eta = a * (signal + sigma * t)
     return (seed, hyp, chunk, size, signal, sigma, a, eta), u
+
+
+def test_raw_words_carry_the_uniform_stream():
+    # the word counts of _count_h1_scalar are exact only if the sampler's
+    # uniform of word w is (w >> 11) * 2**-53, as numpy's Generator.random
+    # makes it, with 0 moved to 2**-53
+    rng = np.random.default_rng(1011)
+    odd = 2 * int(rng.integers(1, 16384)) + 1
+    for shape in (1, 1, odd, 32768, 32768, (odd, 3), (16384, 2)):
+        seed, hyp, chunk = _chunk_key(rng)
+        words = oracle._chunk_words(seed, hyp, chunk, int(np.prod(shape)))
+        assert words.dtype == np.uint64 and words.shape == (np.prod(shape),)
+        u = oracle._chunk_uniforms(seed, hyp, chunk, shape)
+        assert np.array_equal(u, _brute_uniforms(seed, hyp, chunk, shape))
+        assert np.array_equal(u.ravel(), np.maximum(words >> np.uint64(11), np.uint64(1))
+                              .astype(np.float64) * 2.0 ** -53)
 
 
 def test_scalar_counts_match_the_inverse_cdf_oracle():
     rng = np.random.default_rng(20190611)
+    touching = 0
     for _ in range(2000):
         args, u = _scalar_case(rng)
         assert oracle._count_h1_scalar(*args) == _brute_count_scalar(u, *args[4:]), args
+        t = (args[7] / args[6] - args[4]) / args[5]
+        touching += 7.95 <= abs(t) < 8.21
+    # bands with lo <= 2**-53 or hi >= 1 - 2**-53 that still take the draw
+    assert touching >= 300
+
+
+# eta/a overflows, or |eta/a| + |signal| does: every sample takes the rule
+UNBOUNDED_BANDS = ([(0.5, 1.0, a, eta) for a in (1e-300, -1e-300) for eta in (1e10, -1e10)]
+                   + [(1e308, 1.0, 1.0, 1e308), (-1e308, 1e-3, -1.0, 1e308)])
 
 
 def test_scalar_counts_with_unbounded_guard_band():
-    # eta/a overflows, or |eta/a| + |signal| does: every sample takes the rule
-    cases = [(0.5, 1.0, a, eta) for a in (1e-300, -1e-300) for eta in (1e10, -1e10)]
-    cases += [(1e308, 1.0, 1.0, 1e308), (-1e308, 1e-3, -1.0, 1e308)]
-    for signal, sigma, a, eta in cases:
+    for signal, sigma, a, eta in UNBOUNDED_BANDS:
         u = _brute_uniforms(3, 1, 2, 1000)
         args = (3, 1, 2, 1000, signal, sigma, a, eta)
         assert oracle._count_h1_scalar(*args) == _brute_count_scalar(u, *args[4:])
@@ -255,17 +281,25 @@ def test_vector_counts_match_the_inverse_cdf_oracle():
 
 def test_counts_at_the_ends_of_the_uniform_lattice(monkeypatch):
     # chunks made of the sampler's most extreme uniforms, with the boundary
-    # placed on each of their observations and one ulp to either side
-    k = np.arange(1.0, 33.0)
-    u = np.concatenate([k * 2.0 ** -53, 1.0 - k * 2.0 ** -53, [0.5]])
-    monkeypatch.setattr(oracle, "_chunk_uniforms",
-                        lambda seed, hyp, chunk, shape: u.reshape(shape).copy())
+    # placed on each of their observations and one ulp to either side; each
+    # lattice point comes as two words, its low 11 bits all 0 and all 1, and
+    # the word 0 is moved to the point 2**-53
+    k = np.concatenate([np.arange(1, 33), 2**53 - np.arange(1, 33), [2**52]])
+    k = k.astype(np.uint64) << np.uint64(11)
+    words = np.concatenate([k, k | np.uint64(0x7FF), [np.uint64(0)]])
+    u = np.maximum(words >> np.uint64(11), np.uint64(1)).astype(np.float64) * 2.0 ** -53
+    # scalar and vector chunks both draw through the word source
+    monkeypatch.setattr(oracle, "_chunk_words",
+                        lambda seed, hyp, chunk, size: words[:size].copy())
     rng = np.random.default_rng(5)
     for signal, sigma, a in ((0.0, 1.0, 1.0), (0.3, 0.01, -2.0), (-4.0, 50.0, 0.5)):
         for y in signal + sigma * ndtri(u):
             eta = _near(a * y, rng)
             assert (oracle._count_h1_scalar(0, 0, 0, u.size, signal, sigma, a, eta)
                     == _brute_count_scalar(u, signal, sigma, a, eta))
+    for signal, sigma, a, eta in UNBOUNDED_BANDS:
+        assert (oracle._count_h1_scalar(0, 0, 0, u.size, signal, sigma, a, eta)
+                == _brute_count_scalar(u, signal, sigma, a, eta))
     chol = np.array([[0.1]])
     for a in (np.array([200.0]), np.array([-3.0])):
         for obs in (ndtri(u)[:, None] @ chol.T + 1.0) @ a:
