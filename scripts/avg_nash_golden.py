@@ -2,7 +2,7 @@
 """Write the golden record of the average-power Nash search.
 
 Draws 40 mismatched finite-tau average-power games with the test suite's
-``random_avg_spec`` (fixed seed), solves each with ``solve_nash_avg``, and
+``random_avg_spec`` (fixed seed), solves each under Nash with ``solve``, and
 computes the transmitter best response to one random threshold rule per game
 with ``nash_avg_best_response``.  Every input and output float is stored as
 its ``repr`` string, so the file pins the results bit for bit;
@@ -28,13 +28,14 @@ import numpy as np  # noqa: E402
 from sigeq import (  # noqa: E402
     AgentParams,
     AveragePower,
+    Concept,
     EquilibriumReport,
     GameSpec,
     NoiseModel,
     ReceiverRule,
     SignalDesign,
     nash_avg_best_response,
-    solve_nash_avg,
+    solve,
 )
 from conftest import random_avg_spec  # noqa: E402
 
@@ -105,7 +106,7 @@ def build_records() -> list[dict]:
         a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0))
         rule = ReceiverRule.threshold(a, float(rng.uniform(-1.0, 1.0)))
         records.append({"spec": spec_record(spec),
-                        "report": report_record(solve_nash_avg(spec)),
+                        "report": report_record(solve(spec, Concept.NASH)),
                         "probe_rule": _rule_record(rule),
                         "best_response": best_response_record(rule, spec)})
     return records

@@ -18,9 +18,8 @@ The record holds three kinds of entries, all text:
   a mixed-sign Nash game with zero consistency (``p0=p1``).  A last game
   pins a receiver whose threshold ratio underflows to zero.
 
-``tests/test_solve_golden.py`` replays every entry and requires byte
-equality, for the games both through ``sigeq.solve`` and through the
-matching ``solve_*`` entry point.
+``tests/test_solve_golden.py`` replays every entry through ``sigeq.solve``
+and requires byte equality.
 
 The record should only be regenerated on purpose, by a change that is meant
 to alter what a solver reports.
@@ -77,18 +76,6 @@ GAMES_PER_RICH_CELL = 80
 DISCRETE_COSTS = (0.0, 0.5, 1.0)
 DISCRETE_PRIORS = (0.25, 0.5, 0.75)
 DISCRETE_POWERS = (0.5, 1.0, 2.0)
-# every solve_* entry point, by channel and concept
-ENTRIES = {
-    ("scalar", Concept.TEAM): sigeq.solve_team,
-    ("scalar", Concept.STACKELBERG): sigeq.solve_stackelberg,
-    ("scalar", Concept.NASH): sigeq.solve_nash,
-    ("vector", Concept.TEAM): sigeq.solve_team_vec,
-    ("vector", Concept.STACKELBERG): sigeq.solve_stackelberg_vec,
-    ("vector", Concept.NASH): sigeq.solve_nash_vec,
-    ("avg", Concept.TEAM): sigeq.solve_team_avg,
-    ("avg", Concept.STACKELBERG): sigeq.solve_stackelberg_avg,
-    ("avg", Concept.NASH): sigeq.solve_nash_avg,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +156,6 @@ def spec_from(rec: dict) -> GameSpec:
     )
 
 
-def channel_of(spec: GameSpec) -> str:
-    if isinstance(spec.power, AveragePower):
-        return "avg"
-    return "scalar" if spec.noise.is_scalar else "vector"
-
-
 def report_record(rep: EquilibriumReport) -> dict:
     return {"concept": rep.concept.value,
             "case_label": rep.case_label,
@@ -188,25 +169,20 @@ def report_record(rep: EquilibriumReport) -> dict:
             "risk_r": _floats(rep.risk_r)}
 
 
-def outcome_record(solve, spec: GameSpec, concept: Concept) -> dict:
+def outcome_record(spec: GameSpec, concept: Concept) -> dict:
     """The report of one solve, or the error it raised."""
     try:
-        return report_record(solve(spec, concept))
+        return report_record(sigeq.solve(spec, concept))
     except SpecError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def solve_by_entry(spec: GameSpec, concept: Concept) -> EquilibriumReport:
-    """Solve through the ``solve_*`` entry point of the spec's channel."""
-    return ENTRIES[channel_of(spec), concept](spec)
-
-
-def render_game(cell: dict, spec: GameSpec, solve=sigeq.solve) -> str:
+def render_game(cell: dict, spec: GameSpec) -> str:
     """One game as one JSON line: its cell, the spec and its outcome under
     every concept."""
     record = dict(cell, spec=spec_record(spec))
     for concept in Concept:
-        record[concept.value] = outcome_record(solve, spec, concept)
+        record[concept.value] = outcome_record(spec, concept)
     return json.dumps(record) + "\n"
 
 

@@ -47,7 +47,7 @@ from .equilibrium import (
     informative_risks,
     separation_levels,
 )
-from .team import require_identical_agents, solve_team
+from .team import require_identical_agents
 from .stackelberg import (
     EndpointChoice,
     Perturbation,
@@ -61,7 +61,6 @@ from .stackelberg import (
     preset_subjective_priors,
     robustness_scan,
     single_cost_perturbations,
-    solve_stackelberg,
 )
 from .nash import (
     DynamicsTrace,
@@ -69,35 +68,20 @@ from .nash import (
     best_response_dynamics,
     best_response_receiver,
     best_response_transmitter,
-    solve_nash,
 )
-from .vector import (
-    EigenPair,
-    best_response_transmitter_vec,
-    mahalanobis_d,
-    min_eigenpair,
-    solve_nash_vec,
-    solve_stackelberg_vec,
-    solve_team_vec,
-)
-from .avgpower import (
-    max_separation_signals,
-    nash_avg_best_response,
-    solve_nash_avg,
-    solve_stackelberg_avg,
-    solve_team_avg,
-)
+from .avgpower import max_separation_signals, nash_avg_best_response
 from .oracle import McEstimate, grid_search_transmitter, mc_estimate
 
 __version__ = "0.1.0"
 
 
 def solve(spec: GameSpec, concept: Concept) -> EquilibriumReport:
-    """Solve ``spec`` under ``concept`` on whichever channel it uses."""
-    if isinstance(spec.power, AveragePower) and not spec.noise.is_scalar:
-        raise SpecError(
-            "power: the average-power budget is defined for scalar channels only"
-        )
+    """Solve ``spec`` under ``concept`` on whichever channel it uses: scalar
+    or vector peak power, or scalar average power.
+
+    This is the one solve entry.  Team play first checks that the agents are
+    identical (``MismatchedAgentsError``).
+    """
     concept = Concept(concept)
     if concept is Concept.TEAM:
         require_identical_agents(spec)

@@ -23,7 +23,6 @@ from scipy.special import erfc
 
 from .detection import (
     AgentParams,
-    AveragePower,
     DerivedQuantities,
     GameSpec,
     NoiseModel,
@@ -42,19 +41,11 @@ from .equilibrium import (
     Existence,
     _Choice,
     _informative_report,
-    _solve,
     babbling_report,
 )
 from .nash import _xi_label
-from .team import require_identical_agents
 
-__all__ = [
-    "max_separation_signals",
-    "solve_team_avg",
-    "solve_stackelberg_avg",
-    "nash_avg_best_response",
-    "solve_nash_avg",
-]
+__all__ = ["max_separation_signals", "nash_avg_best_response"]
 
 _SQRT2 = math.sqrt(2.0)
 _HALF_PI = math.pi / 2.0
@@ -84,13 +75,6 @@ def max_separation_signals(beta0: float, beta1: float, budget: float) -> SignalD
     return SignalDesign(s0, s1)
 
 
-def _require_scalar_avg(spec: GameSpec) -> None:
-    if not spec.noise.is_scalar:
-        raise SpecError("noise: the average-power budget is defined for scalar channels only")
-    if not isinstance(spec.power, AveragePower):
-        raise SpecError("power: expected an average-power budget")
-
-
 def _place_avg(spec: GameSpec, dq: DerivedQuantities,
                choice: _Choice) -> tuple[SignalDesign, float]:
     """The extreme pair, shrunk toward the origin to separation d*.
@@ -105,19 +89,6 @@ def _place_avg(spec: GameSpec, dq: DerivedQuantities,
     signals = SignalDesign(dq.zeta * scale * base.s0, dq.zeta * scale * base.s1)
     check_power(signals, spec.power, spec.transmitter)
     return signals, choice.d_star
-
-
-def solve_team_avg(spec: GameSpec) -> EquilibriumReport:
-    """Jointly optimal design under an average-power budget."""
-    require_identical_agents(spec)
-    _require_scalar_avg(spec)
-    return _solve(spec, Concept.TEAM)
-
-
-def solve_stackelberg_avg(spec: GameSpec) -> EquilibriumReport:
-    """Leader-follower solution under an average-power budget."""
-    _require_scalar_avg(spec)
-    return _solve(spec, Concept.STACKELBERG)
 
 
 def _split_risk(rule: ReceiverRule, tx: AgentParams,
@@ -419,8 +390,9 @@ def _stationary_split(w0: float, w1: float, p_avg: float, pi0: float,
     return w0 * k, w1 * k
 
 
-def solve_nash_avg(spec: GameSpec) -> EquilibriumReport:
-    """Equilibrium classification under an average-power budget.
+def _nash_avg_report(spec: GameSpec, dq: DerivedQuantities) -> EquilibriumReport:
+    """Nash equilibrium under an average-power budget, once the solve
+    pipeline has derived a finite tau.
 
     At an informative equilibrium the pair sits on the budget curve at some
     split x = |s0|, y = |s1|, oriented as s0 = -sign(fa) x, s1 = sign(miss) y
@@ -440,12 +412,6 @@ def solve_nash_avg(spec: GameSpec) -> EquilibriumReport:
     outcome is the only equilibrium.  A transmitter with a zero margin falls
     under the same formula: the free signal carries no risk and stays at 0.
     """
-    _require_scalar_avg(spec)
-    return _solve(spec, Concept.NASH)
-
-
-def _nash_avg_report(spec: GameSpec, dq: DerivedQuantities) -> EquilibriumReport:
-    """``solve_nash_avg`` once the solve pipeline has derived a finite tau."""
     tau = dq.tau.value
     tx = spec.transmitter
     fa, miss = tx.false_alarm_margin, tx.miss_margin

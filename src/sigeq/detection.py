@@ -244,6 +244,9 @@ class GameSpec:
             raise SpecError("dimension: must be a positive integer")
         if self.dimension != self.noise.dimension:
             raise SpecError("dimension: must match the noise model dimension")
+        if isinstance(self.power, AveragePower) and not self.noise.is_scalar:
+            raise SpecError(
+                "power: the average-power budget is defined for scalar channels only")
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +348,6 @@ def d_max_of(spec: GameSpec) -> float:
         if spec.noise.is_scalar:
             return reach / spec.noise.sigma
         return reach / math.sqrt(spec.noise.min_eigenvalue)
-    if not spec.noise.is_scalar:
-        raise SpecError("power: the average-power budget is defined for scalar channels only")
     tx = spec.transmitter
     scale = (tx.prior0 + tx.prior1) / (tx.prior0 * tx.prior1)
     return math.sqrt(scale * spec.power.p_avg) / spec.noise.sigma

@@ -1,17 +1,18 @@
 """The solve pipeline every concept and channel share, and its report type.
 
-The receiver always plays the matched threshold rule, so each concept comes
-down to a choice of the normalized distance d.  Every solve derives the
-game's scalars once, into one ``DerivedQuantities`` record (tau and ln tau,
-zeta, k0, k1, the receiver case, the xi signs and d_max); every later step
-reads them from it.  If tau is not finite, the solve reports the degenerate
-rule.  Else the concept's chooser picks a case label, an existence tag and d*
-(team: d_max; leader-follower: ``classify_transmitter_preference``) or, for
-Nash, the full-power levels of its sign analysis.  The coincident pair gets the
-prior-only report; any other pair is placed by the channel's realizer
-(scalar peak, vector peak or average power), and its rule matched and report
-filled.  Nash under an average-power budget has its own budget split and
-certification after the first step (see ``solve_nash_avg``).
+``sigeq.solve`` is its one entry.  The receiver always plays the matched
+threshold rule, so each concept comes down to a choice of the normalized
+distance d.  Every solve derives the game's scalars once, into one
+``DerivedQuantities`` record (tau and ln tau, zeta, k0, k1, the receiver case,
+the xi signs and d_max); every later step reads them from it.  If tau is not
+finite, the solve reports the degenerate rule.  Else the concept's chooser
+picks a case label, an existence tag and d* (team: d_max; leader-follower:
+``classify_transmitter_preference``) or, for Nash, the full-power levels of
+its sign analysis.  The coincident pair gets the prior-only report; any other
+pair is placed by the channel's realizer (scalar peak, vector peak or average
+power), and its rule matched and report filled.  Nash under an average-power
+budget has its own budget split and certification after the first step (see
+``avgpower._nash_avg_report``).
 """
 
 import math
@@ -173,14 +174,6 @@ class _Choice(NamedTuple):
     levels: tuple[float, float] | None = None
 
 
-def _require_scalar_peak(spec: GameSpec, solver: str) -> None:
-    """Channel guard of the scalar peak-power entry point named ``solver``."""
-    if not spec.noise.is_scalar:
-        raise SpecError(f"noise: vector games are solved by {solver}_vec")
-    if not isinstance(spec.power, PeakPower):
-        raise SpecError(f"power: average-power games are solved by {solver}_avg")
-
-
 def _peak_levels(power: PeakPower, zeta: int, choice: _Choice,
                  sigma_eff: float) -> tuple[tuple[float, float], float]:
     """Signal levels on an axis with noise scale ``sigma_eff``, and their d*."""
@@ -198,8 +191,8 @@ def _place_scalar_peak(spec: GameSpec, dq: DerivedQuantities,
 
 
 def _solve(spec: GameSpec, concept: Concept) -> EquilibriumReport:
-    """Solve ``spec`` under ``concept``; the caller has checked the channel
-    and, for team play, that the agents are identical."""
+    """Solve ``spec`` under ``concept``; for team play the caller has checked
+    that the agents are identical."""
     dq = derived_quantities(spec)
     if not dq.tau.is_finite:
         return degenerate_receiver_report(concept, spec, dq)

@@ -36,19 +36,11 @@ from .detection import (
     optimal_receiver_rule,
     rules_equal,
 )
-from .equilibrium import (
-    Concept,
-    EquilibriumReport,
-    Existence,
-    _Choice,
-    _require_scalar_peak,
-    _solve,
-)
+from .equilibrium import Existence, _Choice
 
 __all__ = [
     "best_response_transmitter",
     "best_response_receiver",
-    "solve_nash",
     "OutcomeKind",
     "DynamicsTrace",
     "best_response_dynamics",
@@ -110,12 +102,6 @@ def _nash_choice(dq: DerivedQuantities, power: PeakPower) -> _Choice:
                    levels=(-dq.zeta * sx0 * root0, dq.zeta * sx1 * root1))
 
 
-def solve_nash(spec: GameSpec) -> EquilibriumReport:
-    """Equilibrium classification of a scalar peak-power game."""
-    _require_scalar_peak(spec, "solve_nash")
-    return _solve(spec, Concept.NASH)
-
-
 # ---------------------------------------------------------------------------
 # best-response dynamics
 
@@ -132,15 +118,14 @@ class DynamicsTrace:
     Each iterate is the (signal pair, matched rule) produced by one
     transmitter-then-receiver round.  CONVERGED records the first round whose
     matched rule reproduces the rule the transmitter just responded to, i.e.
-    the round that exhibits a mutual best-response pair; OSCILLATING records
-    the cycle period, which is always 2.  There are at most three rounds; see
+    the round that exhibits a mutual best-response pair; OSCILLATING is a
+    period-2 cycle.  There are at most three rounds; see
     ``best_response_dynamics``.
     """
 
     iterates: tuple[tuple[SignalDesign, ReceiverRule], ...]
     outcome: OutcomeKind
     step: int | None = None
-    period: int | None = None
 
 
 def best_response_dynamics(spec: GameSpec,
@@ -182,4 +167,4 @@ def best_response_dynamics(spec: GameSpec,
             return DynamicsTrace(tuple(iterates), OutcomeKind.CONVERGED, step=step)
         prev_rule = rule
     # round 3 repeated round 1's signals, by the argument above
-    return DynamicsTrace(tuple(iterates), OutcomeKind.OSCILLATING, period=2)
+    return DynamicsTrace(tuple(iterates), OutcomeKind.OSCILLATING)

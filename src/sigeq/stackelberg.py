@@ -44,14 +44,13 @@ from .detection import (
     derived_quantities,
     q_function,
 )
-from .equilibrium import Concept, EquilibriumReport, _require_scalar_peak, _solve
+from .equilibrium import Concept, EquilibriumReport, _solve
 from .team import require_identical_agents
 
 __all__ = [
     "EndpointChoice",
     "endpoint_rule",
     "classify_transmitter_preference",
-    "solve_stackelberg",
     "Perturbation",
     "ScanEntry",
     "RobustnessScan",
@@ -147,12 +146,6 @@ def _preference(k0: float, k1: float, tau: float, log_tau: float,
     if _endpoint_informative(k0, k1, tau, log_tau, d_max):
         return "case-6", d_max
     return "case-6", 0.0
-
-
-def solve_stackelberg(spec: GameSpec) -> EquilibriumReport:
-    """Leader-follower solution of a scalar peak-power game."""
-    _require_scalar_peak(spec, "solve_stackelberg")
-    return _solve(spec, Concept.STACKELBERG)
 
 
 # ---------------------------------------------------------------------------

@@ -41,12 +41,7 @@ from sigeq import (
     rules_equal,
     signals_equal,
     single_cost_perturbations,
-    solve_nash,
-    solve_nash_vec,
-    solve_stackelberg,
-    solve_stackelberg_vec,
-    solve_team,
-    solve_team_vec,
+    solve,
 )
 from conftest import (
     demo_spec,
@@ -71,9 +66,9 @@ def report_line(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_reference_interior_optimum():
     spec = demo_spec()
-    rep = solve_stackelberg(spec)  # warm-up
+    rep = solve(spec, Concept.STACKELBERG)  # warm-up
     t0 = time.perf_counter()
-    rep = solve_stackelberg(spec)
+    rep = solve(spec, Concept.STACKELBERG)
     elapsed = time.perf_counter() - t0
     ok = (abs(rep.d_star - 0.4704) <= 5e-4
           and abs(rep.risk_t - 0.5379) <= 5e-4
@@ -94,7 +89,7 @@ def test_criterion_02_solver_beats_grid_search():
     violations = 0
     for _ in range(1000):
         spec = random_scalar_spec(rng)
-        rep = solve_stackelberg(spec)
+        rep = solve(spec, Concept.STACKELBERG)
         _, risk_best = grid_search_transmitter(spec, Concept.STACKELBERG,
                                                grid_size=2001)
         if rep.risk_t > risk_best + 1e-9:
@@ -122,7 +117,7 @@ def test_criterion_03_team_risk_strictly_decreasing():
     eps = np.finfo(float).eps
     for _ in range(500):
         spec = random_identical_spec(rng)
-        rep = solve_team(spec)
+        rep = solve(spec, Concept.TEAM)
         if rep.d_star != rep.d_max:
             saturation_fails += 1
         dq = derived_quantities(spec)
@@ -182,7 +177,7 @@ def test_criterion_04_nash_classification_matches_dynamics():
     informative_seen = 0
     for _ in range(2000):
         spec = random_scalar_spec(rng)
-        rep = solve_nash(spec)
+        rep = solve(spec, Concept.NASH)
         for a0 in (1.0, -1.0):
             trace = best_response_dynamics(
                 spec, init_rule=ReceiverRule.threshold(a0, 0.0))
@@ -292,7 +287,7 @@ def test_criterion_06_monte_carlo_consistency():
     outside = 0
     for i in range(50):
         spec = random_scalar_spec(rng)
-        rep = solve_stackelberg(spec)
+        rep = solve(spec, Concept.STACKELBERG)
         p10, p01 = rule_error_probs(rep.signals, rep.rule, spec.noise)
         est = mc_estimate(rep.signals, rep.rule, spec.noise,
                           (spec.transmitter, spec.receiver), 1_000_000,
@@ -306,7 +301,7 @@ def test_criterion_06_monte_carlo_consistency():
                 and abs(est.p01_hat - p01) <= 4.0 * se01):
             outside += 1
     demo = demo_spec()
-    rep = solve_stackelberg(demo)
+    rep = solve(demo, Concept.STACKELBERG)
     est = mc_estimate(rep.signals, rep.rule, demo.noise,
                       (demo.transmitter, demo.receiver), 1_000_000, seed=2026)
     demo_ok = abs(est.risk_t_hat - 0.5379) <= 4.0 * est.risk_t_stderr
@@ -351,9 +346,8 @@ def test_criterion_07_max_separation_closed_form():
 
 def test_criterion_08_vector_scalar_coherence():
     rng = np.random.default_rng(53)
-    solvers = ((solve_team, solve_team_vec, True),
-               (solve_stackelberg, solve_stackelberg_vec, False),
-               (solve_nash, solve_nash_vec, False))
+    concepts = ((Concept.TEAM, True), (Concept.STACKELBERG, False),
+                (Concept.NASH, False))
     mismatches = 0
     for _ in range(200):
         identical = bool(rng.integers(0, 2))
@@ -362,11 +356,11 @@ def test_criterion_08_vector_scalar_coherence():
             spec = GameSpec(spec.transmitter, spec.transmitter, spec.noise,
                             spec.power)
         vec_spec = embed_1d(spec)
-        for scalar_solver, vector_solver, needs_identical in solvers:
+        for concept, needs_identical in concepts:
             if needs_identical and not identical:
                 continue
-            a = scalar_solver(spec)
-            b = vector_solver(vec_spec)
+            a = solve(spec, concept)
+            b = solve(vec_spec, concept)
             same = (a.case_label == b.case_label
                     and a.informative == b.informative
                     and a.existence == b.existence
@@ -414,21 +408,21 @@ def test_criterion_09_preset_behavior():
     bad = []
     for alpha in (0.6, 0.75, 0.9):
         spec = preset_biased_cost(alpha)
-        for solver in (solve_stackelberg, solve_nash):
-            rep = solver(spec)
+        for concept in (Concept.STACKELBERG, Concept.NASH):
+            rep = solve(spec, concept)
             if not (rep.informative and rep.existence is Existence.EXISTS):
-                bad.append(f"{solver.__name__}@{alpha}")
+                bad.append(f"{concept.value}@{alpha}")
     for alpha in (0.1, 0.25, 0.4):
         spec = preset_biased_cost(alpha)
-        for solver in (solve_stackelberg, solve_nash):
-            if solver(spec).informative:
-                bad.append(f"{solver.__name__}@{alpha}")
+        for concept in (Concept.STACKELBERG, Concept.NASH):
+            if solve(spec, concept).informative:
+                bad.append(f"{concept.value}@{alpha}")
     pairs = 0
     for pt in (0.1, 0.25, 0.5, 0.75, 0.9):
         for pr in (0.1, 0.25, 0.5, 0.75, 0.9):
             spec = preset_subjective_priors(pt, pr)
             assert derived_quantities(spec).tau.is_finite
-            rep = solve_nash(spec)
+            rep = solve(spec, Concept.NASH)
             pairs += 1
             if not (rep.informative and rep.existence is Existence.EXISTS
                     and rep.case_label == "xi(+,+)"):

@@ -29,10 +29,6 @@ from sigeq import (
     risk_pair,
     signals_equal,
     solve,
-    solve_nash_avg,
-    solve_stackelberg_avg,
-    solve_team_avg,
-    solve_team,
 )
 from sigeq import avgpower
 from conftest import DEMO_RX, DEMO_TX, random_agent, random_avg_spec
@@ -167,30 +163,30 @@ def test_extreme_pair_separation_matches_budget_distance():
 
 
 def test_team_symmetric_point():
-    rep = solve_team_avg(sym_spec())
+    rep = solve(sym_spec(), Concept.TEAM)
     assert rep.d_star == 2.0 and rep.d_max == 2.0
     assert (rep.signals.s0, rep.signals.s1) == (-1.0, 1.0)
     assert rep.risk_t == Q1 and rep.risk_r == Q1
     assert (rep.rule.a, rep.rule.eta) == (2.0, 0.0)
     # equals the peak-power game with both budgets at 1
     agent = AgentParams.from_prior0(0.5, HONEST)
-    peak = solve_team(GameSpec(agent, agent, NoiseModel.scalar(1.0),
-                               PeakPower(1.0, 1.0)))
+    peak = solve(GameSpec(agent, agent, NoiseModel.scalar(1.0),
+                          PeakPower(1.0, 1.0)), Concept.TEAM)
     assert rep.risk_t == peak.risk_t and rep.d_star == peak.d_star
 
 
 def test_team_skewed_prior_budget_distance():
     agent = AgentParams.from_prior0(0.25, ((0.0, 0.4), (0.9, 0.0)))
     spec = GameSpec(agent, agent, NoiseModel.scalar(0.1), AveragePower(1.0))
-    rep = solve_team_avg(spec)
+    rep = solve(spec, Concept.TEAM)
     assert rep.d_max == 23.09401076758503
     assert rep.d_star == rep.d_max
 
 
 def test_team_degenerate_threshold_ratio():
     agent = AgentParams.from_prior0(0.5, ((0.0, 1.0), (1.0, 1.0)))
-    rep = solve_team_avg(GameSpec(agent, agent, NoiseModel.scalar(1.0),
-                                  AveragePower(1.0)))
+    rep = solve(GameSpec(agent, agent, NoiseModel.scalar(1.0),
+                         AveragePower(1.0)), Concept.TEAM)
     assert not rep.informative
     assert rep.signals.s0 == 0.0 and rep.signals.s1 == 0.0
 
@@ -200,8 +196,8 @@ def test_full_budget_pair_survives_an_overflowing_d_max():
     # both choose the full budget and report the extreme pair itself
     agent = AgentParams.from_prior0(0.5, HONEST)
     spec = GameSpec(agent, agent, NoiseModel.scalar(1e-320), AveragePower(1.0))
-    for solver in (solve_team_avg, solve_stackelberg_avg):
-        rep = solver(spec)
+    for concept in (Concept.TEAM, Concept.STACKELBERG):
+        rep = solve(spec, concept)
         assert rep.informative and rep.d_star == rep.d_max == math.inf
         assert rep.signals.s0 == -1.0 and rep.signals.s1 == 1.0
 
@@ -212,29 +208,26 @@ def test_full_budget_pair_passes_its_own_budget_check():
     agent = AgentParams.from_prior0(0.9397660492149488, HONEST)
     spec = GameSpec(agent, agent, NoiseModel.scalar(1.0),
                     AveragePower(4201.877233464787))
-    for solver in (solve_team_avg, solve_stackelberg_avg):
-        rep = solver(spec)
+    for concept in (Concept.TEAM, Concept.STACKELBERG):
+        rep = solve(spec, concept)
         assert rep.informative and rep.d_star == rep.d_max
 
 
 def test_avg_solver_validation():
     honest = AgentParams.from_prior0(0.5, HONEST)
     other = AgentParams.from_prior0(0.3, ((0.0, 0.5), (1.5, 0.0)))
-    peak = GameSpec(honest, honest, NoiseModel.scalar(1.0), PeakPower(1.0, 1.0))
-    with pytest.raises(SpecError):
-        solve_team_avg(peak)
-    vec = GameSpec(honest, honest, NoiseModel.matrix(np.eye(2)),
-                   AveragePower(1.0), dimension=2)
-    with pytest.raises(SpecError):
-        solve_stackelberg_avg(vec)
+    # a vector channel cannot carry the budget: the game is not built
+    with pytest.raises(SpecError, match="^power: the average-power budget"):
+        GameSpec(honest, honest, NoiseModel.matrix(np.eye(2)), AveragePower(1.0),
+                 dimension=2)
     with pytest.raises(MismatchedAgentsError):
-        solve_team_avg(GameSpec(honest, other, NoiseModel.scalar(1.0),
-                                AveragePower(1.0)))
+        solve(GameSpec(honest, other, NoiseModel.scalar(1.0), AveragePower(1.0)),
+              Concept.TEAM)
 
 
 def test_stackelberg_interior_point():
     spec = GameSpec(DEMO_TX, DEMO_RX, NoiseModel.scalar(0.1), AveragePower(1.0))
-    rep = solve_stackelberg_avg(spec)
+    rep = solve(spec, Concept.STACKELBERG)
     assert rep.case_label == "case-3"
     assert rep.d_star == 0.47041885791917976
     assert rep.d_max == 23.09401076758503
@@ -251,8 +244,8 @@ def test_stackelberg_identical_agents_take_full_separation():
     rng = np.random.default_rng(17)
     for _ in range(50):
         spec = random_avg_spec(rng, identical=True)
-        rep = solve_stackelberg_avg(spec)
-        team = solve_team_avg(spec)
+        rep = solve(spec, Concept.STACKELBERG)
+        team = solve(spec, Concept.TEAM)
         assert rep.d_star == rep.d_max
         assert rep.case_label in ("case-1", "case-6")
         assert rep.risk_t == team.risk_t
@@ -545,11 +538,11 @@ def test_certification_matches_the_grid_oracle(monkeypatch):
     for seed in (1, 2, 3):
         rng = np.random.default_rng(seed)
         games += [random_avg_spec(rng) for _ in range(300)]
-    reports = [solve_nash_avg(spec) for spec in games]
+    reports = [solve(spec, Concept.NASH) for spec in games]
     monkeypatch.setattr(avgpower, "nash_avg_best_response", grid_best_response)
     informative = 0
     for spec, rep in zip(games, reports):
-        oracle = solve_nash_avg(spec)
+        oracle = solve(spec, Concept.NASH)
         assert rep.informative == oracle.informative
         assert rep.existence is oracle.existence
         assert rep.case_label == oracle.case_label
@@ -602,7 +595,7 @@ def test_budget_curve_overflow_is_rejected_naming_the_field():
 
 
 def test_nash_symmetric_informative():
-    rep = solve_nash_avg(sym_spec())
+    rep = solve(sym_spec(), Concept.NASH)
     assert rep.case_label == "xi(+,+)"
     assert rep.existence is Existence.EXISTS and rep.informative
     assert rep.d_star == 2.0 and rep.d_max == 2.0
@@ -615,8 +608,8 @@ def test_nash_symmetric_informative():
 def test_nash_deceptive_only_degenerate():
     deceptive = AgentParams.from_prior0(0.5, ((1.0, 0.0), (0.0, 1.0)))
     honest = AgentParams.from_prior0(0.5, HONEST)
-    rep = solve_nash_avg(GameSpec(deceptive, honest, NoiseModel.scalar(1.0),
-                                  AveragePower(1.0)))
+    rep = solve(GameSpec(deceptive, honest, NoiseModel.scalar(1.0),
+                         AveragePower(1.0)), Concept.NASH)
     assert rep.case_label == "xi(-,-)"
     assert rep.existence is Existence.ONLY_DEGENERATE
     assert not rep.informative and rep.d_star == 0.0
@@ -633,7 +626,7 @@ def test_nash_mixed_signs_above_budget_root():
          (1.7456184171295488, 0.6884213339920524)))
     spec = GameSpec(tx, rx, NoiseModel.scalar(1.303494669892515),
                     AveragePower(2.813816400023289))
-    rep = solve_nash_avg(spec)
+    rep = solve(spec, Concept.NASH)
     assert rep.case_label == "xi(+,-) x*>=rootP"
     assert rep.existence is Existence.EXISTS and rep.informative
     assert abs(abs(rep.signals.s0) - 1.7807230936409303) <= 1e-6
@@ -652,7 +645,7 @@ def test_nash_mixed_signs_below_budget_root():
          (1.2075580506337307, 0.9583929897792496)))
     spec = GameSpec(tx, rx, NoiseModel.scalar(1.3109642798300736),
                     AveragePower(2.7222812747839873))
-    rep = solve_nash_avg(spec)
+    rep = solve(spec, Concept.NASH)
     assert rep.case_label == "xi(-,+) x*<rootP"
     assert rep.existence is Existence.EXISTS and rep.informative
     assert abs(abs(rep.signals.s0) - 0.05161453176224548) <= 1e-6
@@ -673,7 +666,7 @@ def test_nash_slow_convergence_is_not_a_cycle():
          (1.2186685149851997, 0.19249135525608696)))
     spec = GameSpec(tx, rx, NoiseModel.scalar(1.4240254837254136),
                     AveragePower(2.619830217548195))
-    rep = solve_nash_avg(spec)
+    rep = solve(spec, Concept.NASH)
     assert rep.case_label == "xi(+,+)"
     assert rep.existence is Existence.EXISTS and rep.informative
     assert abs(abs(rep.signals.s0) - 1.8160603297485485) <= 1e-6
@@ -681,24 +674,17 @@ def test_nash_slow_convergence_is_not_a_cycle():
 
 def test_nash_degenerate_threshold_ratio():
     agent = AgentParams.from_prior0(0.5, ((0.0, 1.0), (1.0, 1.0)))
-    rep = solve_nash_avg(GameSpec(agent, agent, NoiseModel.scalar(1.0),
-                                  AveragePower(1.0)))
+    rep = solve(GameSpec(agent, agent, NoiseModel.scalar(1.0),
+                         AveragePower(1.0)), Concept.NASH)
     assert rep.case_label == "degenerate"
     assert not rep.informative
-
-
-def test_nash_validation():
-    honest = AgentParams.from_prior0(0.5, HONEST)
-    peak = GameSpec(honest, honest, NoiseModel.scalar(1.0), PeakPower(1.0, 1.0))
-    with pytest.raises(SpecError):
-        solve_nash_avg(peak)
 
 
 def test_nash_report_shape_on_random_games():
     rng = np.random.default_rng(23)
     for _ in range(300):
         spec = random_avg_spec(rng, finite_tau=False)
-        rep = solve_nash_avg(spec)
+        rep = solve(spec, Concept.NASH)
         if rep.informative:
             assert rep.existence is Existence.EXISTS
             assert rep.d_star > 0.0
@@ -718,7 +704,7 @@ def test_nash_fixed_points_resist_unilateral_deviations():
     checked = 0
     while checked < 25:
         spec = random_avg_spec(rng)
-        rep = solve_nash_avg(spec)
+        rep = solve(spec, Concept.NASH)
         if not rep.informative:
             continue
         risk_t, risk_r = risk_pair(spec.transmitter, spec.receiver, rep.signals,
@@ -799,7 +785,7 @@ def test_nash_period_four_game_solves_to_its_equilibrium():
     assert len(rounds) == 64
     assert signals_equal(rounds[-1][0], rounds[-5][0], tol=1e-8)
     assert not signals_equal(rounds[-1][0], rounds[-3][0], tol=1e-3)
-    rep = solve_nash_avg(spec)
+    rep = solve(spec, Concept.NASH)
     assert rep.case_label == "xi(+,-) x*>=rootP"
     assert rep.existence is Existence.EXISTS and rep.informative
     assert abs(rep.d_star - 2.27825504229915) <= 1e-9
@@ -828,7 +814,7 @@ def test_nash_reports_every_strict_fixed_point_of_best_response_rounds():
         rule = optimal_receiver_rule(signals, spec.receiver, spec.noise)
         risk_t, _ = risk_pair(spec.transmitter, spec.receiver, signals, rule,
                               spec.noise)
-        rep = solve_nash_avg(spec)
+        rep = solve(spec, Concept.NASH)
         assert rep.informative
         assert abs(rep.risk_t - risk_t) <= 1e-6
         fixed += 1

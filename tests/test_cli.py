@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from sigeq import Concept, GameSpec, q_function, solve_stackelberg
+from sigeq import Concept, GameSpec, q_function, solve
 from sigeq.cli import _fmt, load_spec, main
 from conftest import demo_spec
 
@@ -58,7 +58,7 @@ def test_solve_prints_the_library_report():
     assert list(report) == ["concept", "case", "informative", "existence",
                             "d_star", "d_max", "s0", "s1", "rule", "rule_a",
                             "rule_eta", "risk_t", "risk_r"]
-    expect = solve_stackelberg(demo_spec())
+    expect = solve(demo_spec(), Concept.STACKELBERG)
     assert report["concept"] == "stackelberg"
     assert report["case"] == "case-3"
     assert report["informative"] == "yes"
@@ -143,7 +143,7 @@ def test_sweep_fixed_distance_rows():
     # the solver's optimum (d* = 0.4704) sits between the sampled points, so
     # the middle sample d = 0.5 wins and no sample beats the solved risk
     assert risks.index(min(risks)) == 2
-    best = solve_stackelberg(demo_spec()).risk_t
+    best = solve(demo_spec(), Concept.STACKELBERG).risk_t
     assert all(r >= best - 1e-12 for r in risks)
 
 
@@ -364,6 +364,19 @@ def test_malformed_configs_exit_two(tmp_path, doc):
     code, _, err = run_cli(["solve", "--config", path, "--concept", "team"])
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_vector_average_power_config_exits_two_naming_power(tmp_path):
+    path = tmp_path / "vector_avg.json"
+    agent = {"prior0": 0.5, "costs": [[0, 1], [1, 0]]}
+    path.write_text(json.dumps({"transmitter": agent, "receiver": agent,
+                                "noise": {"covariance": [[1.0, 0.0], [0.0, 1.0]]},
+                                "power": {"p_avg": 1.0}}))
+    code, out, err = run_cli(["solve", "--config", path, "--concept", "nash"])
+    assert code == 2 and out == ""
+    # the config is rejected as it loads, before any solve
+    assert err == ("error: config: power: the average-power budget is defined"
+                   " for scalar channels only\n")
 
 
 def test_missing_config_file_exits_two(tmp_path):

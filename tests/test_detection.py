@@ -159,6 +159,15 @@ def test_power_validation():
                  dimension=3)
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_game_spec_rejects_an_average_budget_on_a_vector_channel(dimension):
+    with pytest.raises(SpecError) as info:
+        GameSpec(DEMO_TX, DEMO_RX, NoiseModel.matrix(np.eye(dimension)),
+                 AveragePower(1.0), dimension=dimension)
+    assert str(info.value) == (
+        "power: the average-power budget is defined for scalar channels only")
+
+
 def _covariance_with(bad: float) -> NoiseModel:
     cov = np.eye(2)
     cov[0, 1] = cov[1, 0] = bad

@@ -37,7 +37,6 @@ from sigeq import (
     signals_equal,
     single_cost_perturbations,
     solve,
-    solve_nash,
 )
 from conftest import demo_spec, random_scalar_spec, team_point_spec
 
@@ -132,10 +131,10 @@ def test_receiver_best_response_rejects_an_underflowing_threshold_ratio():
 
 
 def test_babbling_rule_carries_prior_margin():
-    rep = solve_nash(game(((1.0, 0.0), (0.0, 1.0))))  # both margins negative
+    rep = solve(game(((1.0, 0.0), (0.0, 1.0))), Concept.NASH)  # both margins negative
     assert rep.rule.kind is RuleKind.INDIFFERENT  # tau = 1 at even priors
     assert rep.rule.a == 0.0 and rep.rule.eta == 0.0
-    rep = solve_nash(game(((1.0, 0.0), (0.0, 1.0)), prior0=0.25))
+    rep = solve(game(((1.0, 0.0), (0.0, 1.0)), prior0=0.25), Concept.NASH)
     # tau = (0.25 * 1) / (0.75 * 1) = 1/3 < 1: receiver leans toward H1
     assert rep.rule.kind is RuleKind.ALWAYS_H1
     assert abs(rep.rule.eta - (1.0 / 3.0 - 1.0)) <= 1e-15
@@ -146,7 +145,7 @@ def test_babbling_rule_carries_prior_margin():
 
 
 def test_aligned_margins_are_informative():
-    rep = solve_nash(game(HONEST))
+    rep = solve(game(HONEST), Concept.NASH)
     assert rep.case_label == "xi(+,+)"
     assert rep.informative and rep.existence is Existence.EXISTS
     assert rep.signals.s0 == -1.0 and rep.signals.s1 == 1.0
@@ -155,7 +154,7 @@ def test_aligned_margins_are_informative():
 
 
 def test_opposed_margins_only_babble():
-    rep = solve_nash(game(((1.0, 0.0), (0.0, 1.0))))
+    rep = solve(game(((1.0, 0.0), (0.0, 1.0))), Concept.NASH)
     assert rep.case_label == "xi(-,-)"
     assert not rep.informative
     assert rep.existence is Existence.ONLY_DEGENERATE
@@ -164,27 +163,27 @@ def test_opposed_margins_only_babble():
 
 def test_mixed_margins_depend_on_budget_ordering():
     mixed = ((0.5, 1.0), (0.0, 0.0))  # fa < 0, miss > 0
-    rep = solve_nash(game(mixed, p0=1.0, p1=4.0))
+    rep = solve(game(mixed, p0=1.0, p1=4.0), Concept.NASH)
     assert rep.case_label == "xi(-,+) p0<p1"
     assert rep.informative
     assert rep.signals.s0 == 1.0 and rep.signals.s1 == 2.0
     assert rep.d_star == 1.0
-    rep = solve_nash(game(mixed, p0=4.0, p1=1.0))
+    rep = solve(game(mixed, p0=4.0, p1=1.0), Concept.NASH)
     assert rep.case_label == "xi(-,+) p0>p1"
     assert not rep.informative and rep.existence is Existence.ONLY_DEGENERATE
-    rep = solve_nash(game(mixed))
+    rep = solve(game(mixed), Concept.NASH)
     assert rep.case_label == "xi(-,+) p0=p1"
     assert not rep.informative and rep.existence is Existence.EXISTS
 
 
 def test_zero_margin_babbles_but_exists():
-    rep = solve_nash(game(((0.5, 1.0), (0.5, 0.0))))
+    rep = solve(game(((0.5, 1.0), (0.5, 0.0))), Concept.NASH)
     assert rep.case_label == "xi(0,+)"
     assert not rep.informative and rep.existence is Existence.EXISTS
 
 
 def test_non_finite_threshold_ratio_reports_degenerate_rule():
-    rep = solve_nash(game(HONEST, rx_costs=((0.0, 1.0), (1.0, 1.0))))
+    rep = solve(game(HONEST, rx_costs=((0.0, 1.0), (1.0, 1.0))), Concept.NASH)
     assert not rep.informative
     assert rep.existence is Existence.EXISTS
     assert rep.rule.kind is RuleKind.ALWAYS_H0
@@ -195,7 +194,7 @@ def test_informative_reports_satisfy_mutual_best_response():
     found = 0
     while found < 200:
         spec = random_scalar_spec(rng)
-        rep = solve_nash(spec)
+        rep = solve(spec, Concept.NASH)
         if not rep.informative:
             continue
         tx_again = best_response_transmitter(rep.rule, spec.transmitter, spec.power)
@@ -232,7 +231,7 @@ def test_babbling_point_is_universal():
 
 
 def test_sign_flipped_equilibrium_is_risk_equivalent():
-    rep = solve_nash(game(HONEST, p0=2.0, p1=0.5))
+    rep = solve(game(HONEST, p0=2.0, p1=0.5), Concept.NASH)
     twin_signals = SignalDesign(-rep.signals.s0, -rep.signals.s1)
     twin_rule = ReceiverRule.threshold(-rep.rule.a, rep.rule.eta)
     spec = game(HONEST, p0=2.0, p1=0.5)
@@ -251,13 +250,13 @@ def test_dynamics_converges_in_two_rounds_when_aligned():
     assert trace.outcome is OutcomeKind.CONVERGED
     assert trace.step == 2 and len(trace.iterates) == 2
     signals, rule = trace.iterates[-1]
-    rep = solve_nash(game(HONEST))
+    rep = solve(game(HONEST), Concept.NASH)
     assert signals_equal(signals, rep.signals)
     assert rules_equal(rule, rep.rule)
 
 
 def test_dynamics_detects_equilibrium_initialization_immediately():
-    rep = solve_nash(game(HONEST))
+    rep = solve(game(HONEST), Concept.NASH)
     trace = best_response_dynamics(game(HONEST), init_rule=rep.rule)
     assert trace.outcome is OutcomeKind.CONVERGED and trace.step == 1
 
@@ -273,7 +272,7 @@ def test_dynamics_opposite_start_reaches_the_mirror_twin():
 def test_dynamics_oscillates_when_opposed():
     trace = best_response_dynamics(demo_spec())
     assert trace.outcome is OutcomeKind.OSCILLATING
-    assert trace.period == 2 and len(trace.iterates) == 3
+    assert trace.step is None and len(trace.iterates) == 3
     first, _ = trace.iterates[0]
     third, _ = trace.iterates[2]
     assert signals_equal(first, third)
@@ -339,7 +338,7 @@ def test_dynamics_outcome_matches_classification():
     rng = np.random.default_rng(27)
     for _ in range(300):
         spec = random_scalar_spec(rng)
-        rep = solve_nash(spec)
+        rep = solve(spec, Concept.NASH)
         for a0 in (1.0, -1.0):
             trace = best_response_dynamics(
                 spec, init_rule=ReceiverRule.threshold(a0, 0.0))
@@ -432,9 +431,9 @@ def test_nash_scan_rejects_non_renormalizing_offsets_per_entry():
 
 def test_biased_cost_alignment_threshold_nash():
     for alpha in (0.6, 0.75, 0.9):
-        assert solve_nash(preset_biased_cost(alpha)).informative
+        assert solve(preset_biased_cost(alpha), Concept.NASH).informative
     for alpha in (0.1, 0.25, 0.4):
-        rep = solve_nash(preset_biased_cost(alpha))
+        rep = solve(preset_biased_cost(alpha), Concept.NASH)
         assert not rep.informative
         assert rep.existence is Existence.ONLY_DEGENERATE
 
@@ -442,11 +441,11 @@ def test_biased_cost_alignment_threshold_nash():
 def test_subjective_priors_always_informative_nash():
     for p_t in (0.2, 0.4, 0.6, 0.8):
         for p_r in (0.3, 0.45, 0.7):
-            rep = solve_nash(preset_subjective_priors(p_t, p_r))
+            rep = solve(preset_subjective_priors(p_t, p_r), Concept.NASH)
             assert rep.informative and rep.case_label == "xi(+,+)"
 
 
 def test_deception_preset_nash():
-    rep = solve_nash(preset_deception())
+    rep = solve(preset_deception(), Concept.NASH)
     assert rep.case_label == "xi(-,-)"
     assert rep.existence is Existence.ONLY_DEGENERATE

@@ -29,8 +29,7 @@ from sigeq import (
     mc_estimate,
     optimal_receiver_rule,
     q_function,
-    solve_stackelberg,
-    solve_team,
+    solve,
 )
 from conftest import DEMO_RX, DEMO_TX, demo_spec, random_scalar_spec
 from test_stackelberg import spec_with_weights
@@ -75,7 +74,7 @@ def test_antipodal_estimates_near_analytic():
 
 def test_equilibrium_risks_near_analytic():
     spec = demo_spec()
-    rep = solve_stackelberg(spec)
+    rep = solve(spec, Concept.STACKELBERG)
     est = mc_estimate(rep.signals, rep.rule, spec.noise, (DEMO_TX, DEMO_RX),
                       1_000_000, 77)
     assert abs(est.risk_t_hat - 0.5378817736566109) <= 3.0 * est.risk_t_stderr
@@ -343,7 +342,7 @@ def test_grid_identical_agents_pick_last_point():
     d_best, risk_best = grid_search_transmitter(spec, Concept.STACKELBERG, 2001)
     assert d_best == 10.0
     # independent evaluation routes, so only ulp-level agreement is owed
-    assert math.isclose(risk_best, solve_team(spec).risk_t, rel_tol=1e-12)
+    assert math.isclose(risk_best, solve(spec, Concept.TEAM).risk_t, rel_tol=1e-12)
 
 
 def test_grid_babbling_preference_picks_zero():
@@ -376,6 +375,6 @@ def test_grid_never_beats_the_solver():
     rng = np.random.default_rng(31)
     for _ in range(100):
         spec = random_scalar_spec(rng)
-        rep = solve_stackelberg(spec)
+        rep = solve(spec, Concept.STACKELBERG)
         _, risk_best = grid_search_transmitter(spec, Concept.STACKELBERG, 2001)
         assert risk_best >= rep.risk_t - 1e-9

@@ -1,7 +1,7 @@
 """Golden record of the solvers: every recorded ``sigeq solve`` and
 ``sigeq sweep`` run must print the recorded lines and exit with the recorded
 code, and every recorded game must re-solve to the recorded line, byte for
-byte, through ``sigeq.solve`` and through its channel's ``solve_*`` entry.
+byte, through ``sigeq.solve``.
 
 The record is written by ``scripts/solve_golden.py``; this test reuses its
 run list, parsers and renderers so the format is defined once.
@@ -73,7 +73,6 @@ def test_game_matches_golden_bytes(index):
     assert golden.spec_record(spec) == record["spec"]
     cell = {key: record[key] for key in CELL_KEYS}
     assert golden.render_game(cell, spec) == line
-    assert golden.render_game(cell, spec, golden.solve_by_entry) == line
 
 
 def test_record_covers_every_cell_and_case_label():

@@ -36,8 +36,6 @@ from sigeq import (
     signals_equal,
     single_cost_perturbations,
     solve,
-    solve_stackelberg,
-    solve_team,
 )
 from conftest import demo_spec, fragile_team_spec, team_point_spec
 
@@ -75,7 +73,7 @@ def endpoint_risks(spec):
 
 
 def test_interior_optimum_example():
-    rep = solve_stackelberg(demo_spec())
+    rep = solve(demo_spec(), Concept.STACKELBERG)
     assert rep.case_label == "case-3"
     assert rep.informative and rep.existence is Existence.EXISTS
     assert rep.d_star == D_STAR_DEMO
@@ -91,14 +89,14 @@ def test_interior_optimum_example():
 
 def test_interior_optimum_is_stationary():
     dq = derived_quantities(demo_spec())
-    d = solve_stackelberg(demo_spec()).d_star
+    d = solve(demo_spec(), Concept.STACKELBERG).d_star
     log_tau = math.log(dq.tau.finite_value())
     bracket = dq.k0 * (-log_tau / d ** 2 + 0.5) + dq.k1 * (log_tau / d ** 2 + 0.5)
     assert abs(bracket) <= 1e-9
 
 
 def test_rule_is_follower_best_response():
-    rep = solve_stackelberg(demo_spec())
+    rep = solve(demo_spec(), Concept.STACKELBERG)
     want = optimal_receiver_rule(rep.signals, demo_spec().receiver,
                                  demo_spec().noise)
     assert rules_equal(rep.rule, want)
@@ -106,10 +104,10 @@ def test_rule_is_follower_best_response():
 
 def test_identical_params_recover_team_behavior():
     spec = team_point_spec(sigma=0.1)
-    rep = solve_stackelberg(spec)
+    rep = solve(spec, Concept.STACKELBERG)
     assert rep.case_label == "case-6"
     assert rep.informative and rep.d_star == rep.d_max
-    team = solve_team(spec)
+    team = solve(spec, Concept.TEAM)
     assert rep.risk_t == team.risk_t
     assert rep.signals.s0 == team.signals.s0
     assert rep.signals.s1 == team.signals.s1
@@ -148,7 +146,7 @@ def test_case3_matches_its_own_formula():
     dq = derived_quantities(demo_spec())
     log_tau = math.log(dq.tau.finite_value())
     want = math.sqrt(abs(2.0 * log_tau * (dq.k0 - dq.k1) / (dq.k0 + dq.k1)))
-    assert solve_stackelberg(demo_spec()).d_star == want
+    assert solve(demo_spec(), Concept.STACKELBERG).d_star == want
 
 
 def test_classification_agrees_with_grid_on_random_specs():
@@ -157,7 +155,7 @@ def test_classification_agrees_with_grid_on_random_specs():
     from conftest import random_scalar_spec
     for _ in range(100):
         spec = random_scalar_spec(rng)
-        rep = solve_stackelberg(spec)
+        rep = solve(spec, Concept.STACKELBERG)
         _, risk_best = grid_search_transmitter(spec, Concept.STACKELBERG, 2001)
         assert rep.risk_t <= risk_best + 1e-9
 
@@ -255,11 +253,12 @@ def test_scan_rejects_team_play_and_unknown_concepts():
 
 
 def test_scan_rejects_an_average_budget_on_a_vector_channel():
+    # the game is rejected when it is built, so no scan is handed it
     agent = team_point_spec().receiver
-    spec = GameSpec(agent, agent, NoiseModel.matrix(np.eye(2)), AveragePower(1.0),
-                    dimension=2)
     with pytest.raises(SpecError, match="power"):
-        robustness_scan(spec, Concept.NASH, [Perturbation()])
+        robustness_scan(GameSpec(agent, agent, NoiseModel.matrix(np.eye(2)),
+                                 AveragePower(1.0), dimension=2),
+                        Concept.NASH, [Perturbation()])
 
 
 @pytest.mark.parametrize("concept", ["stackelberg", "nash"])
@@ -333,15 +332,15 @@ def test_biased_cost_preset_construction():
 def test_biased_cost_boundary_alpha():
     dq = derived_quantities(preset_biased_cost(0.5))
     assert dq.k0 == 0.0 and dq.k1 == 0.0
-    rep = solve_stackelberg(preset_biased_cost(0.5))
+    rep = solve(preset_biased_cost(0.5), Concept.STACKELBERG)
     assert rep.case_label == "flat" and not rep.informative
 
 
 def test_biased_cost_alignment_threshold():
     for alpha in (0.6, 0.75, 0.9):
-        assert solve_stackelberg(preset_biased_cost(alpha)).informative
+        assert solve(preset_biased_cost(alpha), Concept.STACKELBERG).informative
     for alpha in (0.1, 0.25, 0.4):
-        rep = solve_stackelberg(preset_biased_cost(alpha))
+        rep = solve(preset_biased_cost(alpha), Concept.STACKELBERG)
         assert not rep.informative and rep.case_label == "case-4"
 
 
@@ -350,11 +349,11 @@ def test_subjective_priors_preset_full_separation():
     for p_t, p_r in ((0.6, 0.4), (0.45, 0.3), (0.4, 0.4)):
         spec = preset_subjective_priors(p_t, p_r)
         assert derived_quantities(spec).tau.finite_value() < 1.0
-        rep = solve_stackelberg(spec)
+        rep = solve(spec, Concept.STACKELBERG)
         assert rep.informative and rep.d_star == rep.d_max
 
 
 def test_deception_preset_prefers_babbling():
-    rep = solve_stackelberg(preset_deception())
+    rep = solve(preset_deception(), Concept.STACKELBERG)
     assert rep.case_label == "case-4"
     assert not rep.informative

@@ -17,7 +17,7 @@ from sigeq import (
     require_identical_agents,
     risk_pair,
     rules_equal,
-    solve_team,
+    solve,
 )
 from sigeq.oracle import grid_search_transmitter
 from conftest import demo_spec, random_identical_spec
@@ -31,7 +31,7 @@ def symmetric_spec(sigma=1.0, p0=1.0, p1=1.0):
 
 
 def test_symmetric_example():
-    rep = solve_team(symmetric_spec())
+    rep = solve(symmetric_spec(), Concept.TEAM)
     assert rep.concept is Concept.TEAM
     assert rep.informative and rep.existence is Existence.EXISTS
     assert rep.d_star == 2.0 and rep.d_max == 2.0
@@ -42,7 +42,7 @@ def test_symmetric_example():
 
 
 def test_unequal_budgets_example():
-    rep = solve_team(symmetric_spec(sigma=0.5, p0=4.0, p1=1.0))
+    rep = solve(symmetric_spec(sigma=0.5, p0=4.0, p1=1.0), Concept.TEAM)
     assert rep.d_star == 6.0
     assert rep.signals.s0 == -2.0 and rep.signals.s1 == 1.0
 
@@ -51,7 +51,7 @@ def test_degenerate_threshold_ratio_is_non_informative():
     # miss margin zero, false-alarm margin positive: always decide H0
     agent = AgentParams.from_prior0(0.5, ((0.0, 1.0), (1.0, 1.0)))
     spec = GameSpec(agent, agent, NoiseModel.scalar(1.0), PeakPower(1.0, 1.0))
-    rep = solve_team(spec)
+    rep = solve(spec, Concept.TEAM)
     assert not rep.informative
     assert rep.existence is Existence.EXISTS
     assert rep.rule.kind is RuleKind.ALWAYS_H0
@@ -63,7 +63,7 @@ def test_degenerate_threshold_ratio_is_non_informative():
 def test_mismatched_agents_rejected():
     spec = demo_spec()
     with pytest.raises(MismatchedAgentsError):
-        solve_team(spec)
+        solve(spec, Concept.TEAM)
     with pytest.raises(MismatchedAgentsError):
         require_identical_agents(spec)
 
@@ -73,7 +73,7 @@ def test_orientation_follows_receiver_margin_sign():
     agent = AgentParams.from_prior0(0.5, ((1.0, 0.0), (0.0, 1.0)))
     spec = GameSpec(agent, agent, NoiseModel.scalar(1.0), PeakPower(1.0, 1.0))
     assert derived_quantities(spec).zeta == -1
-    rep = solve_team(spec)
+    rep = solve(spec, Concept.TEAM)
     assert rep.informative
     assert rep.signals.s0 == 1.0 and rep.signals.s1 == -1.0
     assert rep.risk_t == pytest.approx(Q1, abs=1e-15)
@@ -83,7 +83,7 @@ def test_report_is_self_consistent_on_random_instances():
     rng = np.random.default_rng(11)
     for _ in range(200):
         spec = random_identical_spec(rng)
-        rep = solve_team(spec)
+        rep = solve(spec, Concept.TEAM)
         assert rep.d_star == rep.d_max
         assert rules_equal(
             rep.rule, optimal_receiver_rule(rep.signals, spec.receiver, spec.noise))
@@ -105,7 +105,7 @@ def test_full_distance_beats_grid_alternatives():
             continue
         d_best, risk_best = grid_search_transmitter(spec, Concept.STACKELBERG,
                                                     grid_size=2001)
-        rep = solve_team(spec)
+        rep = solve(spec, Concept.TEAM)
         assert d_best == rep.d_max
         assert risk_best >= rep.risk_t - 1e-9
         done += 1

@@ -7,26 +7,16 @@ import pytest
 
 from sigeq import (
     AgentParams,
-    EigenPair,
+    Concept,
     GameSpec,
     NoiseModel,
     PeakPower,
-    ReceiverRule,
     RuleKind,
     SignalDesign,
-    SpecError,
-    best_response_transmitter_vec,
     derived_quantities,
-    mahalanobis_d,
-    min_eigenpair,
     optimal_receiver_rule,
     rules_equal,
-    solve_nash,
-    solve_nash_vec,
-    solve_stackelberg,
-    solve_stackelberg_vec,
-    solve_team,
-    solve_team_vec,
+    solve,
 )
 from sigeq import vector
 from conftest import (
@@ -45,41 +35,41 @@ def embed_1d(spec: GameSpec) -> GameSpec:
                     spec.power, dimension=1)
 
 
+def mahalanobis_d(signals: SignalDesign, covariance) -> float:
+    """Distance between the two signals in the noise metric, by a linear
+    solve: the oracle for reported distances."""
+    diff = np.asarray(signals.s1, dtype=float) - np.asarray(signals.s0, dtype=float)
+    return math.sqrt(float(diff @ np.linalg.solve(covariance, diff)))
+
+
+def min_eigenpair(covariance) -> tuple[float, np.ndarray]:
+    """The solve path's minimum eigenpair of a validated covariance."""
+    return vector._covariance_axis(NoiseModel.matrix(covariance))
+
+
 # ---------------------------------------------------------------------------
 # eigen and distance helpers
 
 
 def test_min_eigenpair_identity():
-    pair = min_eigenpair(np.eye(3))
-    assert pair.value == 1.0
-    assert np.array_equal(pair.vector, np.array([1.0, 0.0, 0.0]))
-    assert pair.residual <= 1e-9
+    value, axis = min_eigenpair(np.eye(3))
+    assert value == 1.0
+    assert np.array_equal(axis, np.array([1.0, 0.0, 0.0]))
 
 
 def test_min_eigenpair_diagonal():
-    pair = min_eigenpair(np.diag([1.0, 4.0]))
-    assert pair.value == 1.0
-    assert np.array_equal(pair.vector, np.array([1.0, 0.0]))
+    value, axis = min_eigenpair(np.diag([1.0, 4.0]))
+    assert value == 1.0
+    assert np.array_equal(axis, np.array([1.0, 0.0]))
 
 
 def test_min_eigenpair_coupled():
-    pair = min_eigenpair(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert abs(pair.value - 1.0) <= 1e-12
+    value, axis = min_eigenpair(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert abs(value - 1.0) <= 1e-12
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    assert np.allclose(pair.vector, [inv_sqrt2, -inv_sqrt2], atol=1e-12)
+    assert np.allclose(axis, [inv_sqrt2, -inv_sqrt2], atol=1e-12)
     # canonical orientation: first sizable component is positive
-    assert pair.vector[0] > 0
-
-
-def test_min_eigenpair_validation():
-    with pytest.raises(SpecError):
-        min_eigenpair(np.array([[1.0, 0.5], [0.4, 1.0]]))
-    with pytest.raises(SpecError):
-        min_eigenpair(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(SpecError):
-        min_eigenpair(np.ones((2, 3)))
-    with pytest.raises(SpecError):
-        min_eigenpair(np.eye(65))
+    assert axis[0] > 0
 
 
 def test_min_eigenpair_random_matrices():
@@ -87,16 +77,27 @@ def test_min_eigenpair_random_matrices():
     for _ in range(50):
         n = int(rng.integers(1, 9))
         m = random_spd_matrix(rng, n)
-        pair = min_eigenpair(m)
-        assert pair.value <= float(np.linalg.eigvalsh(m)[-1])
-        assert abs(float(pair.vector @ pair.vector) - 1.0) <= 1e-12
-        assert pair.residual <= 1e-9 * float(np.linalg.norm(m))
+        value, axis = min_eigenpair(m)
+        assert abs(value - float(np.linalg.eigvalsh(m)[0])) <= 1e-12 * np.linalg.norm(m)
+        assert abs(float(axis @ axis) - 1.0) <= 1e-12
+        assert np.linalg.norm(m @ axis - value * axis) <= 1e-9 * np.linalg.norm(m)
+        # the first entry above 1e-12 in magnitude is positive
+        assert axis[np.flatnonzero(np.abs(axis) > 1e-12)[0]] > 0.0
         with pytest.raises(ValueError):
-            pair.vector[0] = 9.0
-        # the solve path skips the checks NoiseModel has made, not the bits
-        axis = vector._covariance_axis(NoiseModel.matrix(m))
-        assert (axis.value, axis.residual) == (pair.value, pair.residual)
-        assert np.array_equal(axis.vector, pair.vector)
+            axis[0] = 9.0
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_mismatched_eigenpair_fails_its_residual_check_at_extreme_scales(scale):
+    # the squares of the residual check would overflow (1e300) or underflow
+    # (1e-300) unscaled, and let the wrong pair through
+    a = np.diag([scale, 4.0 * scale])
+    values, vectors = np.linalg.eigh(a)
+    with pytest.raises(ArithmeticError):
+        vector._signed_pair(a, values, vectors[:, ::-1])
+    # the matched pair passes and comes back as eigh gave it
+    value, axis = vector._signed_pair(a, values, vectors)
+    assert value == values[0] and np.array_equal(axis, vectors[:, 0])
 
 
 def test_mahalanobis_examples():
@@ -116,12 +117,12 @@ def test_team_concentrates_on_least_noise_direction():
     agent = AgentParams.from_prior0(0.5, ((0.0, 1.0), (1.0, 0.0)))
     spec = GameSpec(agent, agent, NoiseModel.matrix(np.diag([0.01, 1.0])),
                     PeakPower(1.0, 1.0), dimension=2)
-    rep = solve_team_vec(spec)
+    rep = solve(spec, Concept.TEAM)
     assert rep.d_star == 20.0 and rep.d_max == 20.0
     assert np.array_equal(rep.signals.s0, np.array([-1.0, 0.0]))
     assert np.array_equal(rep.signals.s1, np.array([1.0, 0.0]))
-    scalar = solve_team(GameSpec(agent, agent, NoiseModel.scalar(0.1),
-                                 PeakPower(1.0, 1.0)))
+    scalar = solve(GameSpec(agent, agent, NoiseModel.scalar(0.1),
+                            PeakPower(1.0, 1.0)), Concept.TEAM)
     assert abs(rep.d_max - scalar.d_max) <= 1e-12
     assert rep.risk_t == scalar.risk_t
 
@@ -129,9 +130,9 @@ def test_team_concentrates_on_least_noise_direction():
 def test_stackelberg_interior_point_in_vector_noise():
     spec = GameSpec(DEMO_TX, DEMO_RX, NoiseModel.matrix(np.diag([0.01, 1.0])),
                     PeakPower(1.0, 1.0), dimension=2)
-    rep = solve_stackelberg_vec(spec)
+    rep = solve(spec, Concept.STACKELBERG)
     assert rep.case_label == "case-3"
-    scalar_rep = solve_stackelberg(demo_spec())
+    scalar_rep = solve(demo_spec(), Concept.STACKELBERG)
     assert rep.d_star == scalar_rep.d_star
     assert rep.risk_t == scalar_rep.risk_t
     # reported separation in the noise metric equals the optimizer
@@ -143,7 +144,7 @@ def test_nash_vector_rule_direction_is_whitened_difference():
     cov = np.array([[2.0, 1.0], [1.0, 2.0]])
     spec = GameSpec(agent, agent, NoiseModel.matrix(cov), PeakPower(1.0, 1.0),
                     dimension=2)
-    rep = solve_nash_vec(spec)
+    rep = solve(spec, Concept.NASH)
     assert rep.informative
     diff = rep.signals.s1 - rep.signals.s0
     want = np.linalg.solve(cov, diff)
@@ -152,22 +153,8 @@ def test_nash_vector_rule_direction_is_whitened_difference():
     assert scale > 0
     assert np.allclose(got, scale * want, atol=1e-12)
     # informative signals stay on the least-noise axis at full power
-    axis = min_eigenpair(cov).vector
+    _, axis = min_eigenpair(cov)
     assert np.allclose(np.abs(rep.signals.s0), np.abs(axis), atol=1e-12)
-
-
-def test_transmitter_best_response_vector():
-    tx = AgentParams.from_prior0(0.5, ((0.0, 1.0), (1.0, 0.0)))
-    rule = ReceiverRule.threshold(np.array([3.0, 4.0]), 0.0)
-    resp = best_response_transmitter_vec(rule, tx, PeakPower(4.0, 1.0))
-    assert np.allclose(resp.s0, [-1.2, -1.6], atol=1e-15)
-    assert np.allclose(resp.s1, [0.6, 0.8], atol=1e-15)
-    with pytest.raises(SpecError):
-        best_response_transmitter_vec(ReceiverRule.always_h0(), tx, PeakPower(1, 1))
-    parked = best_response_transmitter_vec(ReceiverRule.always_h0(), tx,
-                                           PeakPower(1.0, 1.0), dimension=3)
-    assert np.array_equal(parked.s0, np.zeros(3))
-    assert np.array_equal(parked.s1, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +166,8 @@ def test_power_feasibility_on_random_vector_games():
     for _ in range(100):
         n = int(rng.integers(1, 7))
         spec = random_vector_spec(rng, n)
-        for solver in (solve_stackelberg_vec, solve_nash_vec):
-            rep = solver(spec)
+        for concept in (Concept.STACKELBERG, Concept.NASH):
+            rep = solve(spec, concept)
             e0 = float(rep.signals.s0 @ rep.signals.s0)
             e1 = float(rep.signals.s1 @ rep.signals.s1)
             assert e0 <= spec.power.p0 + 1e-12
@@ -189,9 +176,8 @@ def test_power_feasibility_on_random_vector_games():
 
 def test_scalar_games_embed_exactly_as_1d_vector_games():
     rng = np.random.default_rng(47)
-    pairs = ((solve_team, solve_team_vec, True),
-             (solve_stackelberg, solve_stackelberg_vec, False),
-             (solve_nash, solve_nash_vec, False))
+    concepts = ((Concept.TEAM, True), (Concept.STACKELBERG, False),
+                (Concept.NASH, False))
     for _ in range(60):
         identical = bool(rng.integers(0, 2))
         spec = random_scalar_spec(rng)
@@ -199,11 +185,11 @@ def test_scalar_games_embed_exactly_as_1d_vector_games():
             spec = GameSpec(spec.transmitter, spec.transmitter, spec.noise,
                             spec.power)
         vec_spec = embed_1d(spec)
-        for scalar_solver, vector_solver, needs_identical in pairs:
+        for concept, needs_identical in concepts:
             if needs_identical and not identical:
                 continue
-            a = scalar_solver(spec)
-            b = vector_solver(vec_spec)
+            a = solve(spec, concept)
+            b = solve(vec_spec, concept)
             assert a.case_label == b.case_label
             assert a.informative == b.informative
             assert a.existence == b.existence
@@ -235,7 +221,8 @@ def test_diagonal_covariance_reduces_to_scalar_distance():
                        dimension=n)
         sigma = math.sqrt(float(np.min(diag)))
         scalar = GameSpec(agent, agent, NoiseModel.scalar(sigma), power)
-        assert abs(solve_team_vec(vec).d_max - solve_team(scalar).d_max) <= 1e-12
+        d_max = solve(scalar, Concept.TEAM).d_max
+        assert abs(solve(vec, Concept.TEAM).d_max - d_max) <= 1e-12
 
 
 def test_vector_interior_separation_matches_reported_distance():
@@ -243,7 +230,7 @@ def test_vector_interior_separation_matches_reported_distance():
     found = 0
     while found < 25:
         spec = random_vector_spec(rng, int(rng.integers(2, 5)))
-        rep = solve_stackelberg_vec(spec)
+        rep = solve(spec, Concept.STACKELBERG)
         if rep.case_label != "case-3":
             continue
         d = mahalanobis_d(rep.signals, spec.noise.covariance)
