@@ -37,7 +37,6 @@ from .detection import (
     risk_pair,
     rule_error_probs,
     rules_equal,
-    signals_equal,
 )
 from .equilibrium import (
     Concept,

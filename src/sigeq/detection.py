@@ -57,7 +57,6 @@ __all__ = [
     "prior_only_rule",
     "rule_error_probs",
     "risk_pair",
-    "signals_equal",
     "rules_equal",
     "check_power",
 ]
@@ -65,6 +64,7 @@ __all__ = [
 _PRIOR_TOL = 1e-12
 _SYMMETRY_TOL = 1e-12
 _POWER_TOL = 1e-12
+_RESIDUAL_TOL = 1e-9
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -140,19 +140,46 @@ class AgentParams:
         return cls(float(prior0), 1.0 - float(prior0), costs)
 
 
+def _signed_pair(a: np.ndarray, values: np.ndarray,
+                 vectors: np.ndarray) -> tuple[float, np.ndarray]:
+    """The first pair of ``eigh``'s output, sign-fixed and residual-checked:
+    ||A v - lambda v|| must come out below 1e-9 ||A||, or ``ArithmeticError``.
+    """
+    column = vectors[:, 0]
+    # the sign of the first entry above 1e-12 in magnitude, read as floats
+    lead = next((x for x in column.tolist() if abs(x) > 1e-12), 0.0)
+    vec = -column if lead < 0.0 else column.copy()
+    value = float(values[0])
+    # the check runs on A and lambda scaled by a power of two, exactly, that
+    # puts the largest eigenvalue in [1/2, 1); it bounds every |a_ij| of a
+    # positive definite A, so no square of the check overflows or underflows
+    _, exp = math.frexp(float(values[-1]))
+    scaled = np.ldexp(a, -exp)
+    r = scaled.dot(vec) - math.ldexp(value, -exp) * vec
+    flat = scaled.ravel()
+    if math.sqrt(float(r.dot(r))) > _RESIDUAL_TOL * math.sqrt(float(flat.dot(flat))):
+        raise ArithmeticError("eigenpair residual exceeded tolerance")
+    vec.setflags(write=False)
+    return value, vec
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Additive Gaussian noise: scalar N(0, sigma^2) or vector N(0, covariance).
 
     Exactly one of ``sigma`` / ``covariance`` is set.  Values must be finite;
     a covariance must be square, symmetric within 1e-12 elementwise, and
-    positive definite.  ``min_eigenvalue`` keeps the covariance's smallest
-    eigenvalue from that check (None for scalar noise).
+    positive definite.  Its one eigendecomposition, made for that check,
+    yields the least-noise pair: ``min_eigenvalue``, the smallest eigenvalue,
+    and ``min_eigenvector``, its read-only unit eigenvector, signed so that
+    its first entry above 1e-12 in magnitude is positive (both None for
+    scalar noise).  ``d_max_of`` and the vector realizer read this pair.
     """
 
     sigma: float | None = None
     covariance: np.ndarray | None = None
     min_eigenvalue: float | None = field(default=None, init=False, repr=False)
+    min_eigenvector: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if (self.sigma is None) == (self.covariance is None):
@@ -173,12 +200,14 @@ class NoiseModel:
             raise SpecError("noise.covariance: entries must be finite")
         if np.max(np.abs(cov - cov.T)) > _SYMMETRY_TOL:
             raise SpecError("noise.covariance: must be symmetric within 1e-12")
-        lam = float(np.linalg.eigvalsh(cov)[0])
-        if lam <= 0.0:
+        values, vectors = np.linalg.eigh(cov)
+        if values[0] <= 0.0:
             raise SpecError("noise.covariance: must be positive definite")
+        lam, axis = _signed_pair(cov, values, vectors)
         cov.setflags(write=False)
         object.__setattr__(self, "covariance", cov)
         object.__setattr__(self, "min_eigenvalue", lam)
+        object.__setattr__(self, "min_eigenvector", axis)
 
     @classmethod
     def scalar(cls, sigma: float) -> "NoiseModel":
@@ -504,10 +533,6 @@ def _num_close(x, y, tol: float) -> bool:
             return False
         return bool(np.all(np.abs(x - y) <= tol))
     return abs(x - y) <= tol
-
-
-def signals_equal(lhs: SignalDesign, rhs: SignalDesign, tol: float = 0.0) -> bool:
-    return _num_close(lhs.s0, rhs.s0, tol) and _num_close(lhs.s1, rhs.s1, tol)
 
 
 def rules_equal(lhs: ReceiverRule, rhs: ReceiverRule, tol: float = 0.0) -> bool:

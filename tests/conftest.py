@@ -1,4 +1,5 @@
-"""Shared random-instance generators for the test suite.
+"""Shared random-instance generators and a signal-pair comparison for the
+test suite.
 
 Costs are drawn from continuous distributions, so cost margins are nonzero
 almost surely; generators that promise a finite threshold ratio reject the
@@ -13,8 +14,16 @@ from sigeq import (
     GameSpec,
     NoiseModel,
     PeakPower,
+    SignalDesign,
     derived_quantities,
 )
+from sigeq.detection import _num_close
+
+
+def signals_equal(lhs: SignalDesign, rhs: SignalDesign, tol: float = 0.0) -> bool:
+    """Both pairs agree level by level within ``tol``; a vector level never
+    equals a scalar one."""
+    return _num_close(lhs.s0, rhs.s0, tol) and _num_close(lhs.s1, rhs.s1, tol)
 
 
 def random_agent(rng: np.random.Generator) -> AgentParams:

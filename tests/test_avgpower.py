@@ -27,11 +27,10 @@ from sigeq import (
     optimal_receiver_rule,
     q_function,
     risk_pair,
-    signals_equal,
     solve,
 )
 from sigeq import avgpower
-from conftest import DEMO_RX, DEMO_TX, random_agent, random_avg_spec
+from conftest import DEMO_RX, DEMO_TX, random_agent, random_avg_spec, signals_equal
 
 Q1 = 0.15865525393145707
 

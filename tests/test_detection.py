@@ -38,12 +38,11 @@ from sigeq import (
     risk_pair,
     rule_error_probs,
     rules_equal,
-    signals_equal,
     solve,
 )
 from sigeq import avgpower, equilibrium
 from conftest import (DEMO_RX, DEMO_TX, demo_spec, random_agent, random_scalar_spec,
-                      random_spd_matrix)
+                      random_spd_matrix, signals_equal)
 
 Q1 = 0.15865525393145707
 
@@ -281,18 +280,26 @@ def test_d_max_formulas():
 
 
 def test_noise_model_keeps_the_minimum_eigenvalue_of_its_check():
-    # d_max reads the eigvalsh minimum that the positive-definiteness check
-    # computed; the smallest eigenvalue from eigh may differ in its last bits
+    # the positive-definiteness check runs eigh once; the model keeps its
+    # first pair, sign-fixed, and d_max reads that same eigenvalue
     rng = np.random.default_rng(11)
     agent = AgentParams.from_prior0(0.25, ((0.0, 1.0), (1.0, 0.0)))
     for n in (1, 2, 3, 8, 64):
         cov = random_spd_matrix(rng, n)
-        lam = float(np.linalg.eigvalsh(cov)[0])
+        values, vectors = np.linalg.eigh(cov)
+        column = vectors[:, 0]
+        lead = column[np.flatnonzero(np.abs(column) > 1e-12)[0]]
         noise = NoiseModel.matrix(cov)
-        assert noise.min_eigenvalue == lam
+        assert noise.min_eigenvalue == float(values[0])
+        assert np.array_equal(noise.min_eigenvector,
+                              -column if lead < 0.0 else column)
+        with pytest.raises(ValueError):
+            noise.min_eigenvector[0] = 9.0
         spec = GameSpec(agent, agent, noise, PeakPower(2.0, 0.5), dimension=n)
+        lam = noise.min_eigenvalue
         assert d_max_of(spec) == (math.sqrt(2.0) + math.sqrt(0.5)) / math.sqrt(lam)
-    assert NoiseModel.scalar(1.0).min_eigenvalue is None
+    scalar = NoiseModel.scalar(1.0)
+    assert scalar.min_eigenvalue is None and scalar.min_eigenvector is None
 
 
 def test_receiver_case_table():

@@ -34,11 +34,10 @@ from sigeq import (
     robustness_scan,
     rule_error_probs,
     rules_equal,
-    signals_equal,
     single_cost_perturbations,
     solve,
 )
-from conftest import demo_spec, random_scalar_spec, team_point_spec
+from conftest import demo_spec, random_scalar_spec, signals_equal, team_point_spec
 
 HONEST = ((0.0, 1.0), (1.0, 0.0))
 

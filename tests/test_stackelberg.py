@@ -33,11 +33,10 @@ from sigeq import (
     robustness_scan,
     rules_equal,
     separation_levels,
-    signals_equal,
     single_cost_perturbations,
     solve,
 )
-from conftest import demo_spec, fragile_team_spec, team_point_spec
+from conftest import demo_spec, fragile_team_spec, signals_equal, team_point_spec
 
 D_STAR_DEMO = 0.47041885791917976
 

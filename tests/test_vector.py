@@ -18,7 +18,7 @@ from sigeq import (
     rules_equal,
     solve,
 )
-from sigeq import vector
+from sigeq import detection
 from conftest import (
     DEMO_RX,
     DEMO_TX,
@@ -43,8 +43,10 @@ def mahalanobis_d(signals: SignalDesign, covariance) -> float:
 
 
 def min_eigenpair(covariance) -> tuple[float, np.ndarray]:
-    """The solve path's minimum eigenpair of a validated covariance."""
-    return vector._covariance_axis(NoiseModel.matrix(covariance))
+    """The minimum eigenpair that ``NoiseModel`` derives from a covariance and
+    the solve path reads."""
+    noise = NoiseModel.matrix(covariance)
+    return noise.min_eigenvalue, noise.min_eigenvector
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +96,9 @@ def test_mismatched_eigenpair_fails_its_residual_check_at_extreme_scales(scale):
     a = np.diag([scale, 4.0 * scale])
     values, vectors = np.linalg.eigh(a)
     with pytest.raises(ArithmeticError):
-        vector._signed_pair(a, values, vectors[:, ::-1])
+        detection._signed_pair(a, values, vectors[:, ::-1])
     # the matched pair passes and comes back as eigh gave it
-    value, axis = vector._signed_pair(a, values, vectors)
+    value, axis = detection._signed_pair(a, values, vectors)
     assert value == values[0] and np.array_equal(axis, vectors[:, 0])
 
 
@@ -240,3 +242,50 @@ def test_vector_interior_separation_matches_reported_distance():
             optimal_receiver_rule(rep.signals, spec.receiver, spec.noise),
             1e-9)
         found += 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 16])
+def test_reported_distance_never_passes_d_max(n):
+    # d_max and the realizer read the one eigenvalue NoiseModel keeps, so a
+    # full-budget pair lands on d_max exactly, never an ulp past it
+    rng = np.random.default_rng(61 + n)
+    for _ in range(40):
+        for identical in (True, False):
+            spec = random_vector_spec(rng, n, identical=identical)
+            concepts = list(Concept) if identical else [Concept.STACKELBERG,
+                                                        Concept.NASH]
+            for concept in concepts:
+                rep = solve(spec, concept)
+                assert rep.d_star <= rep.d_max
+                if concept is Concept.TEAM:
+                    assert rep.d_star == rep.d_max
+                    d = mahalanobis_d(rep.signals, spec.noise.covariance)
+                    assert abs(d - rep.d_star) <= 1e-12 * rep.d_star
+
+
+def test_one_eigendecomposition_per_covariance(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    noise = NoiseModel.matrix(random_spd_matrix(np.random.default_rng(67), 4))
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    agent = AgentParams.from_prior0(0.3, ((0.0, 1.0), (1.0, 0.0)))
+    team = GameSpec(agent, agent, noise, PeakPower(1.0, 2.0), dimension=4)
+    mixed = GameSpec(DEMO_TX, DEMO_RX, noise, PeakPower(1.0, 1.0), dimension=4)
+    informative = 0
+    for concept in Concept:
+        informative += solve(team, concept).informative
+        if concept is not Concept.TEAM:
+            informative += solve(mixed, concept).informative
+    # the solves placed informative pairs without decomposing again
+    assert informative >= 3
+    assert calls == {"eigh": 1, "eigvalsh": 0}
