@@ -18,13 +18,11 @@ from .detection import (
     MismatchedAgentsError,
     NoiseModel,
     PeakPower,
-    ReceiverCase,
     ReceiverRule,
     RuleKind,
     SignalDesign,
     SpecError,
     Tau,
-    TauKind,
     bayes_risk,
     check_power,
     conditional_error_probs,

@@ -19,8 +19,6 @@ response only certifies that this root is a global one.
 import math
 from typing import Callable
 
-from scipy.special import erfc
-
 from .detection import (
     AgentParams,
     DerivedQuantities,
@@ -32,8 +30,10 @@ from .detection import (
     SpecError,
     _matched_rule,
     _sign,
+    bayes_risk,
     check_power,
     risk_pair,
+    rule_error_probs,
 )
 from .equilibrium import (
     Concept,
@@ -47,7 +47,6 @@ from .nash import _xi_label
 
 __all__ = ["max_separation_signals", "nash_avg_best_response"]
 
-_SQRT2 = math.sqrt(2.0)
 _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
 # pieces of the arc narrower than this (radians) are not split further
@@ -89,36 +88,6 @@ def _place_avg(spec: GameSpec, dq: DerivedQuantities,
     signals = SignalDesign(dq.zeta * scale * base.s0, dq.zeta * scale * base.s1)
     check_power(signals, spec.power, spec.transmitter)
     return signals, choice.d_star
-
-
-def _split_risk(rule: ReceiverRule, tx: AgentParams,
-                sigma: float) -> Callable:
-    """Transmitter risk at the curve point (x, y) = (|s0|, |s1|).
-
-    The returned function works on floats and elementwise on arrays with the
-    same operations in the same order, so both give the same bits at the
-    same point.  That holds because scipy's ``erfc`` is used on floats too;
-    ``math.erfc`` rounds differently.
-    """
-    fa, miss = tx.false_alarm_margin, tx.miss_margin
-    a, eta = rule.a, rule.eta
-    sa = _sign(a)
-    sign0 = -sa * _sign(fa)
-    sign1 = sa * _sign(miss)
-    spread = abs(a) * sigma
-    if spread == 0.0:
-        # |a| sigma underflows: scale the rule to |a| = 1 instead
-        a, eta, spread = sa, eta / abs(a), sigma
-    base = tx.prior0 * tx.c00 + tx.prior1 * tx.c11
-    w10 = tx.prior0 * fa
-    w01 = tx.prior1 * miss
-
-    def risk(x, y):
-        p10 = 0.5 * erfc((eta - a * (sign0 * x)) / spread / _SQRT2)
-        p01 = 0.5 * erfc(-(eta - a * (sign1 * y)) / spread / _SQRT2)
-        return base + w10 * p10 + w01 * p01
-
-    return risk
 
 
 def _arc_point(f: float) -> tuple[float, float]:
@@ -342,8 +311,10 @@ def nash_avg_best_response(rule: ReceiverRule, tx: AgentParams, p_avg: float,
     each hold at most one root (``_settled_breaks``), so a sign change at
     piece ends brackets exactly one root, which is refined to rounding.
     Only pieces narrower than 1e-12 rad may stop unproven; the signs at
-    their ends then stand for them.  The candidates are compared by risk,
-    ties going to the smaller x.  No tolerance depends on the budget.
+    their ends then stand for them.  The candidates are compared by their
+    risk from the detection primitives (``rule_error_probs``, then
+    ``bayes_risk``), ties going to the smaller x.  No tolerance depends on
+    the budget.
     """
     if rule.kind is not RuleKind.THRESHOLD:
         raise SpecError("rule: a threshold rule is required")
@@ -368,13 +339,14 @@ def nash_avg_best_response(rule: ReceiverRule, tx: AgentParams, p_avg: float,
     points = [(0.0, y_top)]
     points += [(x_top * s, y_top * c) for s, c in map(_arc_point, roots)]
     points.append((x_top, 0.0))
-    risk = _split_risk(rule, tx, noise.sigma)
-    best_x, best_y, best_f = 0.0, y_top, math.inf
-    for x, y in points:
-        f = float(risk(x, y))
+    sign0, sign1 = -sa * _sign(fa), sa * _sign(miss)
+    pairs = [SignalDesign(sign0 * x, sign1 * y) for x, y in points]
+    best, best_f = 0, math.inf
+    for i, signals in enumerate(pairs):
+        f = bayes_risk(tx, *rule_error_probs(signals, rule, noise))
         if f < best_f:
-            best_x, best_y, best_f = x, y, f
-    return SignalDesign(-sa * _sign(fa) * best_x, sa * _sign(miss) * best_y), best_x
+            best, best_f = i, f
+    return pairs[best], points[best][0]
 
 
 def _stationary_split(w0: float, w1: float, p_avg: float, pi0: float,

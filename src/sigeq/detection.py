@@ -9,13 +9,13 @@ This module holds the game description types and the detection primitives
 shared by every solver:
 
 * the Gaussian tail function ``q_function``,
-* the structural classification of the receiver's optimal rule from the
+* the kind of the receiver's optimal rule, a ``RuleKind`` fixed by the
   signs of its cost margins (``receiver_case``),
 * the derived scalars that drive the equilibrium analysis
   (``derived_quantities``): the likelihood-ratio threshold ``tau``, the
   orientation sign ``zeta``, the transmitter tail weights ``k0``/``k1``,
-  the cost-mismatch ratios ``xi0``/``xi1`` and the maximum normalized
-  signal distance ``d_max``,
+  the signs ``xi_signs`` of the cost-mismatch ratios and the maximum
+  normalized signal distance ``d_max``,
 * conditional error probabilities of the matched threshold rule at a given
   normalized distance (``conditional_error_probs``),
 * Bayes-risk evaluation of an arbitrary ``(signals, rule)`` pair
@@ -40,10 +40,8 @@ __all__ = [
     "PeakPower",
     "AveragePower",
     "GameSpec",
-    "TauKind",
     "Tau",
     "DerivedQuantities",
-    "ReceiverCase",
     "RuleKind",
     "ReceiverRule",
     "SignalDesign",
@@ -282,39 +280,33 @@ class GameSpec:
 # derived quantities
 
 
-class TauKind(Enum):
-    FINITE = "finite"            # 0 < tau < inf: a likelihood-ratio threshold exists
-    NONPOSITIVE = "nonpositive"  # tau <= 0: the rule is one-sided regardless of y
-    INFINITE = "infinite"        # zero denominator, nonzero numerator
-    INDIFFERENT = "indifferent"  # both receiver margins vanish
+class RuleKind(Enum):
+    THRESHOLD = "threshold"
+    ALWAYS_H0 = "always-h0"
+    ALWAYS_H1 = "always-h1"
+    INDIFFERENT = "indifferent"
 
 
 @dataclass(frozen=True)
 class Tau:
-    """Receiver threshold ratio as a tagged extended value.
+    """Receiver threshold ratio.
 
-    ``value`` holds the ratio for FINITE (positive) and NONPOSITIVE tags and
-    is None for INFINITE / INDIFFERENT.
+    ``value`` is the computed ratio, or None when its denominator vanishes.
+    ``is_finite`` holds when it is positive: a ratio <= 0, including one
+    that underflowed to 0, leaves no threshold, while one that overflowed to
+    inf still counts.
     """
 
-    kind: TauKind
     value: float | None = None
 
     @property
     def is_finite(self) -> bool:
-        return self.kind is TauKind.FINITE
+        return self.value is not None and self.value > 0.0
 
     def finite_value(self) -> float:
-        if self.kind is not TauKind.FINITE:
+        if not self.is_finite:
             raise SpecError("tau: no finite threshold ratio in this configuration")
         return self.value
-
-
-class ReceiverCase(Enum):
-    LRT = "lrt"
-    ALWAYS_H0 = "always-h0"
-    ALWAYS_H1 = "always-h1"
-    INDIFFERENT = "indifferent"
 
 
 @dataclass(frozen=True)
@@ -322,52 +314,42 @@ class DerivedQuantities:
     """Scalars the equilibrium analysis runs on, derived once per solve.
 
     ``k0``/``k1`` weight the transmitter's two error-probability tails in its
-    risk (NaN unless tau is finite).  ``xi0``/``xi1`` are the ratios of
-    transmitter to receiver cost margins with the convention 0/0 -> 0.
-    ``d_max`` is the largest normalized signal distance the power budget
-    allows.  ``log_tau`` is ln tau (NaN unless tau is finite), ``case`` the
-    ``receiver_case`` and ``xi_signs`` the products zeta * sign(margin) of the
-    transmitter's two margins, which are the signs of xi0/xi1 at a finite tau.
+    risk (NaN unless tau is finite).  ``d_max`` is the largest normalized
+    signal distance the power budget allows.  ``log_tau`` is ln tau (NaN
+    unless tau is finite), ``case`` the ``receiver_case`` and ``xi_signs``
+    the products zeta * sign(margin) of the transmitter's two margins, which
+    at a finite tau are the signs of the cost-mismatch ratios xi0/xi1
+    (transmitter over receiver margin).
     """
 
     tau: Tau
     zeta: int
     k0: float
     k1: float
-    xi0: float
-    xi1: float
     d_max: float
     log_tau: float
-    case: ReceiverCase
+    case: RuleKind
     xi_signs: tuple[int, int]
 
 
-def receiver_case(receiver: AgentParams) -> ReceiverCase:
-    """Structure of the optimal rule from the receiver's cost-margin signs.
+def receiver_case(receiver: AgentParams) -> RuleKind:
+    """Kind of the receiver's optimal rule, from its cost-margin signs.
 
     Only when both margins share a strict sign does the observation matter
-    (LRT).  A single nonnegative/nonpositive combination pins the decision
-    outright; two vanishing margins leave the receiver indifferent.
+    (THRESHOLD).  A single nonnegative/nonpositive combination pins the
+    decision outright; two vanishing margins leave the receiver indifferent.
     """
     miss = _sign(receiver.miss_margin)
     fa = _sign(receiver.false_alarm_margin)
     if miss > 0:
-        return ReceiverCase.LRT if fa > 0 else ReceiverCase.ALWAYS_H1
+        return RuleKind.THRESHOLD if fa > 0 else RuleKind.ALWAYS_H1
     if miss == 0:
         if fa > 0:
-            return ReceiverCase.ALWAYS_H0
+            return RuleKind.ALWAYS_H0
         if fa < 0:
-            return ReceiverCase.ALWAYS_H1
-        return ReceiverCase.INDIFFERENT
-    return ReceiverCase.LRT if fa < 0 else ReceiverCase.ALWAYS_H0
-
-
-def _margin_ratio(num: float, den: float) -> float:
-    if den != 0.0:
-        return num / den
-    if num == 0.0:
-        return 0.0
-    return math.copysign(math.inf, num)
+            return RuleKind.ALWAYS_H1
+        return RuleKind.INDIFFERENT
+    return RuleKind.THRESHOLD if fa < 0 else RuleKind.ALWAYS_H0
 
 
 def d_max_of(spec: GameSpec) -> float:
@@ -385,17 +367,13 @@ def d_max_of(spec: GameSpec) -> float:
 def _threshold_ratio(receiver: AgentParams) -> Tau:
     """The receiver's likelihood-ratio threshold pi0 (C10 - C00) / (pi1 (C01 - C11)).
 
-    Its kind follows the computed ratio, so a ratio that underflows to 0 is
-    NONPOSITIVE even where both margins share a strict sign.
+    Whether it is finite follows the computed ratio, so a ratio that
+    underflows to 0 is not, even where both margins share a strict sign.
     """
-    num = receiver.prior0 * receiver.false_alarm_margin
     den = receiver.prior1 * receiver.miss_margin
-    if den != 0.0:
-        ratio = num / den
-        return Tau(TauKind.FINITE if ratio > 0.0 else TauKind.NONPOSITIVE, ratio)
-    if num != 0.0:
-        return Tau(TauKind.INFINITE)
-    return Tau(TauKind.INDIFFERENT)
+    if den == 0.0:
+        return Tau(None)
+    return Tau(receiver.prior0 * receiver.false_alarm_margin / den)
 
 
 def derived_quantities(spec: GameSpec) -> DerivedQuantities:
@@ -410,21 +388,12 @@ def derived_quantities(spec: GameSpec) -> DerivedQuantities:
         log_tau = math.log(tau.value)
     else:
         k0 = k1 = log_tau = math.nan
-    xi0 = _margin_ratio(fa, rx.false_alarm_margin)
-    xi1 = _margin_ratio(miss, rx.miss_margin)
-    return DerivedQuantities(tau, zeta, k0, k1, xi0, xi1, d_max_of(spec), log_tau,
+    return DerivedQuantities(tau, zeta, k0, k1, d_max_of(spec), log_tau,
                              receiver_case(rx), (_sign(fa) * zeta, _sign(miss) * zeta))
 
 
 # ---------------------------------------------------------------------------
 # decision rules and signal pairs
-
-
-class RuleKind(Enum):
-    THRESHOLD = "threshold"
-    ALWAYS_H0 = "always-h0"
-    ALWAYS_H1 = "always-h1"
-    INDIFFERENT = "indifferent"
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,9 +463,9 @@ class ReceiverRule:
 
 # the rule of each receiver case that ignores the observation
 _FIXED_RULES = {
-    ReceiverCase.ALWAYS_H0: ReceiverRule.always_h0(),
-    ReceiverCase.ALWAYS_H1: ReceiverRule.always_h1(),
-    ReceiverCase.INDIFFERENT: ReceiverRule.indifferent(),
+    RuleKind.ALWAYS_H0: ReceiverRule.always_h0(),
+    RuleKind.ALWAYS_H1: ReceiverRule.always_h1(),
+    RuleKind.INDIFFERENT: ReceiverRule.indifferent(),
 }
 
 
@@ -626,7 +595,7 @@ def optimal_receiver_rule(signals: SignalDesign, receiver: AgentParams,
                           noise: NoiseModel) -> ReceiverRule:
     """Best response of the receiver to a known signal pair."""
     case = receiver_case(receiver)
-    if case is not ReceiverCase.LRT:
+    if case is not RuleKind.THRESHOLD:
         return _FIXED_RULES[case]
     ratio = _threshold_ratio(receiver)
     if not ratio.is_finite:

@@ -28,8 +28,8 @@ from .detection import (
     DerivedQuantities,
     GameSpec,
     PeakPower,
-    ReceiverCase,
     ReceiverRule,
+    RuleKind,
     SignalDesign,
     SpecError,
     _FIXED_RULES,
@@ -114,7 +114,7 @@ def degenerate_receiver_report(concept: Concept, spec: GameSpec,
     Applies whenever tau is not finite: the rule is fixed by the cost-margin
     case, every signal pair is equivalent, and the zero pair is reported.
     """
-    if dq.case is ReceiverCase.LRT:
+    if dq.case is RuleKind.THRESHOLD:
         raise SpecError("tau: finite threshold games have no degenerate receiver")
     return _zero_pair_report(concept, spec, dq, "degenerate", Existence.EXISTS,
                              _FIXED_RULES[dq.case])

@@ -117,7 +117,11 @@ class TransmitterPreference:
 
 def classify_transmitter_preference(k0: float, k1: float, tau: float,
                                     d_max: float) -> TransmitterPreference:
-    """Optimal normalized distance for the leader, by the sign grid above."""
+    """Optimal normalized distance for the leader, by the sign grid above.
+
+    Requires a finite positive tau."""
+    if not 0.0 < tau < math.inf:
+        raise SpecError("tau: must be finite and strictly positive")
     return TransmitterPreference(*_preference(k0, k1, tau, math.log(tau), d_max))
 
 
@@ -294,12 +298,4 @@ def preset_deception(prior0: float = 0.5, sigma: float = 1.0,
     decide wrongly under either hypothesis) while the receiver pays the
     uniform error cost.
     """
-    prior0 = _check_unit_interval("prior0", prior0)
-    tx_costs = ((1.0, 0.0), (0.0, 1.0))
-    rx_costs = ((0.0, 1.0), (1.0, 0.0))
-    return GameSpec(
-        transmitter=AgentParams.from_prior0(prior0, tx_costs),
-        receiver=AgentParams.from_prior0(prior0, rx_costs),
-        noise=NoiseModel.scalar(sigma),
-        power=PeakPower(p0, p1),
-    )
+    return preset_biased_cost(0.0, prior0, sigma, p0, p1)

@@ -6,6 +6,9 @@ almost surely; generators that promise a finite threshold ratio reject the
 draws where the margin signs disagree.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from sigeq import (
@@ -18,6 +21,12 @@ from sigeq import (
     derived_quantities,
 )
 from sigeq.detection import _num_close
+
+# pytest puts src on sys.path (pyproject's pythonpath); the CLI and script
+# tests run child interpreters, which find the package through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def signals_equal(lhs: SignalDesign, rhs: SignalDesign, tol: float = 0.0) -> bool:

@@ -18,12 +18,10 @@ from sigeq import (
     NoiseModel,
     PeakPower,
     Perturbation,
-    ReceiverCase,
     ReceiverRule,
     RuleKind,
     SignalDesign,
     SpecError,
-    TauKind,
     bayes_risk,
     check_power,
     classify_transmitter_preference,
@@ -40,7 +38,7 @@ from sigeq import (
     rules_equal,
     solve,
 )
-from sigeq import avgpower, equilibrium
+from sigeq import avgpower, equilibrium, stackelberg
 from conftest import (DEMO_RX, DEMO_TX, demo_spec, random_agent, random_scalar_spec,
                       random_spd_matrix, signals_equal)
 
@@ -225,37 +223,40 @@ def test_check_power_tolerance_scales_with_the_budget():
 # derived quantities
 
 
-def test_threshold_ratio_tags():
+def test_threshold_ratio_values():
     dq = derived_quantities(demo_spec())
-    assert dq.tau.kind is TauKind.FINITE
+    assert dq.tau.is_finite
     assert dq.tau.value == 0.7499999999999999
     assert dq.zeta == 1
 
-    def tagged(costs):
+    def tau_of(costs):
         rx = AgentParams.from_prior0(0.5, costs)
         spec = GameSpec(rx, rx, NoiseModel.scalar(1.0), PeakPower(1.0, 1.0))
         return derived_quantities(spec).tau
 
-    assert tagged(((0.0, 1.0), (1.0, 1.0))).kind is TauKind.INFINITE  # miss = 0
-    assert tagged(((1.0, 1.0), (1.0, 0.0))).kind is TauKind.NONPOSITIVE  # fa = 0
-    assert tagged(((0.0, 0.5), (1.0, 1.0))).kind is TauKind.NONPOSITIVE  # opposite signs
-    assert tagged(((1.0, 2.0), (1.0, 2.0))).kind is TauKind.INDIFFERENT
+    # a vanishing denominator leaves no value: miss = 0, alone or with fa = 0
+    for costs in (((0.0, 1.0), (1.0, 1.0)), ((1.0, 2.0), (1.0, 2.0))):
+        tau = tau_of(costs)
+        assert tau.value is None and not tau.is_finite
+    # a ratio <= 0 keeps its value but is no threshold
+    assert tau_of(((1.0, 1.0), (1.0, 0.0))).value == 0.0  # fa = 0
+    assert tau_of(((0.0, 0.5), (1.0, 1.0))).value == -2.0  # opposite signs
+    assert not tau_of(((0.0, 0.5), (1.0, 1.0))).is_finite
     with pytest.raises(SpecError):
-        tagged(((1.0, 1.0), (1.0, 0.0))).finite_value()
+        tau_of(((1.0, 1.0), (1.0, 0.0))).finite_value()
 
 
 def test_derived_record_carries_what_the_pipeline_reads():
     dq = derived_quantities(demo_spec())
     assert dq.log_tau == math.log(dq.tau.value)
-    assert dq.case is ReceiverCase.LRT
+    assert dq.case is RuleKind.THRESHOLD
     # demo transmitter: fa = -0.2, miss = -0.2, zeta = +1
     assert dq.xi_signs == (-1, -1)
-    assert dq.xi0 < 0.0 and dq.xi1 < 0.0
     rx = AgentParams.from_prior0(0.5, ((0.0, 1.0), (1.0, 1.0)))  # miss = 0
     tx = AgentParams.from_prior0(0.5, ((0.0, 1.0), (2.0, 0.0)))
     dq = derived_quantities(GameSpec(tx, rx, NoiseModel.scalar(1.0), PeakPower(1.0, 1.0)))
-    assert dq.tau.kind is TauKind.INFINITE and math.isnan(dq.log_tau)
-    assert dq.case is ReceiverCase.ALWAYS_H0 and dq.xi_signs == (0, 0)
+    assert dq.tau.value is None and math.isnan(dq.log_tau)
+    assert dq.case is RuleKind.ALWAYS_H0 and dq.xi_signs == (0, 0)
 
 
 def test_transmitter_tail_weights_match_hand_values():
@@ -303,21 +304,28 @@ def test_noise_model_keeps_the_minimum_eigenvalue_of_its_check():
 
 
 def test_receiver_case_table():
+    # the case is the kind of the rule the receiver plays against a
+    # separated pair
+    pair, noise = SignalDesign(-1.0, 1.0), NoiseModel.scalar(1.0)
+
     def case(fa, miss):
         # c10 - c00 = fa and c01 - c11 = miss with a base level keeping
         # every entry nonnegative
         costs = ((1.0, 1.0 + miss), (1.0 + fa, 1.0))
-        return receiver_case(AgentParams.from_prior0(0.5, costs))
+        rx = AgentParams.from_prior0(0.5, costs)
+        kind = receiver_case(rx)
+        assert optimal_receiver_rule(pair, rx, noise).kind is kind
+        return kind
 
-    assert case(1.0, 1.0) is ReceiverCase.LRT
-    assert case(-1.0, -1.0) is ReceiverCase.LRT
-    assert case(0.0, 0.0) is ReceiverCase.INDIFFERENT
-    assert case(-1.0, 1.0) is ReceiverCase.ALWAYS_H1
-    assert case(0.0, 1.0) is ReceiverCase.ALWAYS_H1
-    assert case(-1.0, 0.0) is ReceiverCase.ALWAYS_H1
-    assert case(1.0, -1.0) is ReceiverCase.ALWAYS_H0
-    assert case(1.0, 0.0) is ReceiverCase.ALWAYS_H0
-    assert case(0.0, -1.0) is ReceiverCase.ALWAYS_H0
+    assert case(1.0, 1.0) is RuleKind.THRESHOLD
+    assert case(-1.0, -1.0) is RuleKind.THRESHOLD
+    assert case(0.0, 0.0) is RuleKind.INDIFFERENT
+    assert case(-1.0, 1.0) is RuleKind.ALWAYS_H1
+    assert case(0.0, 1.0) is RuleKind.ALWAYS_H1
+    assert case(-1.0, 0.0) is RuleKind.ALWAYS_H1
+    assert case(1.0, -1.0) is RuleKind.ALWAYS_H0
+    assert case(1.0, 0.0) is RuleKind.ALWAYS_H0
+    assert case(0.0, -1.0) is RuleKind.ALWAYS_H0
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +480,7 @@ def test_optimal_rule_minimizes_posterior_cost_pointwise():
     checked = 0
     while checked < 1000:
         rx = random_agent(rng)
-        if receiver_case(rx) is not ReceiverCase.LRT:
+        if receiver_case(rx) is not RuleKind.THRESHOLD:
             continue
         sigma = float(rng.uniform(0.3, 2.0))
         s0 = float(rng.uniform(-2.0, 2.0))
@@ -658,6 +666,12 @@ def _public_solve(spec: GameSpec, concept: Concept):
         return conditional_error_probs(d, derived_quantities(spec).tau.value, zeta)
 
     def preference(k0, k1, tau, log_tau, d_max):
+        if tau == math.inf:
+            # a ratio that overflowed: the public wrapper refuses it, while
+            # the pipeline still classifies it on ln tau = inf
+            with pytest.raises(SpecError, match="^tau: must be finite and strictly"):
+                classify_transmitter_preference(k0, k1, tau, d_max)
+            return stackelberg._preference(k0, k1, tau, log_tau, d_max)
         pref = classify_transmitter_preference(k0, k1, tau, d_max)
         return pref.case_label, pref.d_star
 

@@ -15,12 +15,10 @@ from sigeq import (
     OutcomeKind,
     PeakPower,
     Perturbation,
-    ReceiverCase,
     ReceiverRule,
     RuleKind,
     SignalDesign,
     SpecError,
-    TauKind,
     best_response_dynamics,
     best_response_receiver,
     best_response_transmitter,
@@ -114,11 +112,12 @@ def test_receiver_best_response_examples():
 
 def test_receiver_best_response_rejects_an_underflowing_threshold_ratio():
     # prior0 * (C10 - C00) underflows to 0: the margins share a strict sign,
-    # so the receiver case is LRT, but tau is 0 and no threshold rule exists
+    # so the receiver plays a threshold rule, but tau is 0 and none exists
     rx = AgentParams(1e-10, 1.0 - 1e-10, ((0.0, 1.0), (1e-320, 0.0)))
     spec = GameSpec(rx, rx, NoiseModel.scalar(1.0), PeakPower(1.0, 1.0))
-    assert receiver_case(rx) is ReceiverCase.LRT
-    assert derived_quantities(spec).tau.kind is TauKind.NONPOSITIVE
+    assert receiver_case(rx) is RuleKind.THRESHOLD
+    tau = derived_quantities(spec).tau
+    assert tau.value == 0.0 and not tau.is_finite
     with pytest.raises(SpecError,
                        match="^tau: receiver best response needs a finite threshold ratio$"):
         best_response_receiver(SignalDesign(-1.0, 1.0), rx, spec.noise)

@@ -22,6 +22,7 @@ from sigeq import (
     SignalDesign,
     SpecError,
     classify_transmitter_preference,
+    conditional_error_probs,
     derived_quantities,
     endpoint_rule,
     optimal_receiver_rule,
@@ -182,6 +183,19 @@ def test_endpoint_rule_preconditions():
         endpoint_rule(0.2, 0.1, 0.0, 4.0)
     with pytest.raises(SpecError):
         endpoint_rule(0.2, 0.1, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("tau", [0.0, -2.0, math.inf, math.nan])
+def test_tau_outside_the_open_half_line_is_rejected(tau):
+    # the three public primitives that take tau refuse the same values with
+    # the same error; tau = inf once gave classify a silent case-1
+    match = "^tau: must be finite and strictly positive$"
+    with pytest.raises(SpecError, match=match):
+        classify_transmitter_preference(1.0, 2.0, tau, 1.0)
+    with pytest.raises(SpecError, match=match):
+        endpoint_rule(0.2, 0.2, tau, 3.0)
+    with pytest.raises(SpecError, match=match):
+        conditional_error_probs(1.0, tau, 1)
 
 
 def test_endpoint_rule_example_draw_against_brute_force():
@@ -356,3 +370,14 @@ def test_deception_preset_prefers_babbling():
     rep = solve(preset_deception(), Concept.STACKELBERG)
     assert rep.case_label == "case-4"
     assert not rep.informative
+    # it is the biased-cost game at alpha = 0
+    for prior0, sigma, p0, p1 in ((0.5, 1.0, 1.0, 1.0), (0.2, 0.3, 2.0, 0.5),
+                                  (0.9, 4.0, 0.25, 3.0)):
+        lhs = preset_deception(prior0, sigma, p0, p1)
+        rhs = preset_biased_cost(0.0, prior0, sigma, p0, p1)
+        assert (lhs.transmitter, lhs.receiver, lhs.noise.sigma, lhs.power) == \
+            (rhs.transmitter, rhs.receiver, rhs.noise.sigma, rhs.power)
+        assert lhs.transmitter.costs == ((1.0, 0.0), (0.0, 1.0))
+    for prior0 in (0.0, 1.0, 1.5):
+        with pytest.raises(SpecError, match=r"^prior0: must lie strictly inside \(0, 1\)$"):
+            preset_deception(prior0)
