@@ -32,7 +32,6 @@ from .detection import (
     _sign,
     bayes_risk,
     check_power,
-    risk_pair,
     rule_error_probs,
 )
 from .equilibrium import (
@@ -54,10 +53,12 @@ _FLOOR = 1e-12
 # rounding allowance, relative to the magnitude of the terms summed: a sum of
 # a few correctly rounded terms is off by a few ulp, so 16 ulp covers it
 _ROUND = 16.0 * math.ulp(1.0)
-# the stationary split certifies when its risk is within this of the best
-# response's.  In one flat minimum the two differ by rounding (up to
-# 1.2e-13 seen); a better split elsewhere is a real gap (4.5e-10 the least)
-_CERTIFY_TOL = 1e-12
+# the stationary split certifies when its risk exceeds the best response's by
+# at most this share of the larger ``_risk_size`` of the two pairs: a size
+# that scales with the costs, so the verdict does not depend on their unit.
+# In one flat minimum the two differ by rounding (up to 1.2e-13 seen with
+# costs of order 1); a better split elsewhere is a real gap (4.5e-10 the least)
+_CERTIFY_REL = 1e-12
 
 
 def max_separation_signals(beta0: float, beta1: float, budget: float) -> SignalDesign:
@@ -75,7 +76,7 @@ def max_separation_signals(beta0: float, beta1: float, budget: float) -> SignalD
 
 
 def _place_avg(spec: GameSpec, dq: DerivedQuantities,
-               choice: _Choice) -> tuple[SignalDesign, float]:
+               choice: _Choice) -> tuple[SignalDesign, ReceiverRule, float]:
     """The extreme pair, shrunk toward the origin to separation d*.
 
     The budget stays feasible and the separation scales linearly.
@@ -87,7 +88,8 @@ def _place_avg(spec: GameSpec, dq: DerivedQuantities,
                                   spec.power.p_avg)
     signals = SignalDesign(dq.zeta * scale * base.s0, dq.zeta * scale * base.s1)
     check_power(signals, spec.power, spec.transmitter)
-    return signals, choice.d_star
+    return (signals, _matched_rule(signals, spec.noise, dq.tau.value, dq.log_tau,
+                                   dq.zeta), choice.d_star)
 
 
 def _arc_point(f: float) -> tuple[float, float]:
@@ -354,12 +356,24 @@ def _stationary_split(w0: float, w1: float, p_avg: float, pi0: float,
     """The point (x, y) = (|s0|, |s1|) of the binding budget with x : y = w0 : w1.
 
     The weights are scaled to a largest of 1 first, so their squares cannot
-    overflow.
+    overflow.  Both vanish only where w0 = |fa| = 0 and w1 = tau |miss|
+    underflowed; w1 is positive in exact arithmetic, so the split is x = 0.
     """
     scale = max(w0, w1)
+    if scale == 0.0:
+        return 0.0, math.sqrt(p_avg / pi1)
     w0, w1 = w0 / scale, w1 / scale
     k = math.sqrt(p_avg / (pi0 * w0 * w0 + pi1 * w1 * w1))
     return w0 * k, w1 * k
+
+
+def _risk_size(agent: AgentParams, p10: float, p01: float) -> float:
+    """Sum of the magnitudes of the terms ``bayes_risk`` adds, which bounds its
+    rounding.  It exceeds the risk where a margin is negative, and falls far
+    below pi0 |fa| + pi1 |miss| where an error tail is small."""
+    return (agent.prior0 * agent.c00 + agent.prior1 * agent.c11
+            + agent.prior0 * abs(agent.false_alarm_margin) * p10
+            + agent.prior1 * abs(agent.miss_margin) * p01)
 
 
 def _nash_avg_report(spec: GameSpec, dq: DerivedQuantities) -> EquilibriumReport:
@@ -402,10 +416,12 @@ def _nash_avg_report(spec: GameSpec, dq: DerivedQuantities) -> EquilibriumReport
                                Existence.ONLY_DEGENERATE)
     signals = SignalDesign(-dq.zeta * sx0 * x, dq.zeta * sx1 * y)
     rule = _matched_rule(signals, spec.noise, tau, dq.log_tau, dq.zeta)
-    risk_t, risk_r = risk_pair(tx, spec.receiver, signals, rule, spec.noise)
+    probs = rule_error_probs(signals, rule, spec.noise)
+    risk_t, risk_r = bayes_risk(tx, *probs), bayes_risk(spec.receiver, *probs)
     best, _ = nash_avg_best_response(rule, tx, spec.power.p_avg, spec.noise)
-    best_t, _ = risk_pair(tx, spec.receiver, best, rule, spec.noise)
-    if risk_t > best_t + _CERTIFY_TOL:
+    best_probs = rule_error_probs(best, rule, spec.noise)
+    size = max(_risk_size(tx, *probs), _risk_size(tx, *best_probs))
+    if risk_t > bayes_risk(tx, *best_probs) + _CERTIFY_REL * size:
         return babbling_report(Concept.NASH, spec, dq, label,
                                Existence.ONLY_DEGENERATE)
     if sx0 * sx1 < 0:

@@ -593,7 +593,12 @@ def prior_only_rule(tau: float, zeta: int) -> ReceiverRule:
 
 def optimal_receiver_rule(signals: SignalDesign, receiver: AgentParams,
                           noise: NoiseModel) -> ReceiverRule:
-    """Best response of the receiver to a known signal pair."""
+    """Best response of the receiver to a known signal pair.
+
+    On a vector channel the direction solves Sigma w = s1 - s0 by LU; a
+    covariance that is positive definite by its eigenvalues but singular to
+    that factorization raises a ``SpecError`` naming ``noise.covariance``.
+    """
     case = receiver_case(receiver)
     if case is not RuleKind.THRESHOLD:
         return _FIXED_RULES[case]
@@ -616,7 +621,11 @@ def _matched_rule(signals: SignalDesign, noise: NoiseModel, tau: float,
         a = zeta * (s1 - s0)
         eta = zeta * (noise.sigma * noise.sigma * log_tau + (s1 * s1 - s0 * s0) / 2.0)
         return ReceiverRule.threshold(a, eta)
-    w = np.linalg.solve(noise.covariance, s1 - s0)
+    try:
+        w = np.linalg.solve(noise.covariance, s1 - s0)
+    except np.linalg.LinAlgError:
+        raise SpecError("noise.covariance: singular to working precision, "
+                        "the matched rule cannot be solved") from None
     eta = zeta * (log_tau + 0.5 * float(w.dot(s1 + s0)))
     return ReceiverRule.threshold(zeta * w, eta)
 

@@ -9,10 +9,10 @@ finite, the solve reports the degenerate rule.  Else the concept's chooser
 picks a case label, an existence tag and d* (team: d_max; leader-follower:
 ``classify_transmitter_preference``) or, for Nash, the full-power levels of
 its sign analysis.  The coincident pair gets the prior-only report; any other
-pair is placed by the channel's realizer (scalar peak, vector peak or average
-power), and its rule matched and report filled.  Nash under an average-power
-budget has its own budget split and certification after the first step (see
-``avgpower._nash_avg_report``).
+pair is placed, and its rule matched, by the channel's realizer (scalar peak,
+vector peak or average power), and the report filled.  Nash under an
+average-power budget has its own budget split and certification after the
+first step (see ``avgpower._nash_avg_report``).
 """
 
 import math
@@ -185,9 +185,11 @@ def _peak_levels(power: PeakPower, zeta: int, choice: _Choice,
 
 
 def _place_scalar_peak(spec: GameSpec, dq: DerivedQuantities,
-                       choice: _Choice) -> tuple[SignalDesign, float]:
+                       choice: _Choice) -> tuple[SignalDesign, ReceiverRule, float]:
     (u0, u1), d_star = _peak_levels(spec.power, dq.zeta, choice, spec.noise.sigma)
-    return SignalDesign(u0, u1), d_star
+    signals = SignalDesign(u0, u1)
+    return (signals, _matched_rule(signals, spec.noise, dq.tau.value, dq.log_tau,
+                                   dq.zeta), d_star)
 
 
 def _solve(spec: GameSpec, concept: Concept) -> EquilibriumReport:
@@ -213,8 +215,7 @@ def _solve(spec: GameSpec, concept: Concept) -> EquilibriumReport:
         choice = _nash_choice(dq, spec.power)
     if choice.d_star is None and choice.levels is None:
         return babbling_report(concept, spec, dq, choice.label, choice.existence)
-    signals, d_star = place(spec, dq, choice)
-    rule = _matched_rule(signals, spec.noise, dq.tau.value, dq.log_tau, dq.zeta)
+    signals, rule, d_star = place(spec, dq, choice)
     p10, p01 = _matched_error_probs(d_star, dq.log_tau, dq.zeta)
     risks = bayes_risk(spec.transmitter, p10, p01), bayes_risk(spec.receiver, p10, p01)
     return _informative_report(concept, dq, choice.label, signals, rule, d_star, risks)

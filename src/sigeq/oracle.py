@@ -197,6 +197,9 @@ def mc_estimate(signals: SignalDesign, rule: ReceiverRule, noise: NoiseModel,
 
     Half the samples go to each hypothesis.  Degenerate rules ignore the
     observation, so their probabilities are exact and carry zero std error.
+    Vector noise is drawn through the covariance's Cholesky factor; one that
+    is positive definite by its eigenvalues but not to that factorization
+    raises a ``SpecError`` naming ``noise.covariance``.
     """
     tx, rx = agents
     if not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -234,7 +237,11 @@ def mc_estimate(signals: SignalDesign, rule: ReceiverRule, noise: NoiseModel,
                 counts[hyp] += _count_h1_scalar(seed, hyp, c, stop - start, signal,
                                                 noise.sigma, rule.a, rule.eta)
     else:
-        chol = np.linalg.cholesky(noise.covariance)
+        try:
+            chol = np.linalg.cholesky(noise.covariance)
+        except np.linalg.LinAlgError:
+            raise SpecError("noise.covariance: not positive definite to working "
+                            "precision, the noise cannot be sampled") from None
         a = np.asarray(rule.a, dtype=float)
         for hyp, signal in ((0, signals.s0), (1, signals.s1)):
             for c, (start, stop) in enumerate(chunks):

@@ -1,11 +1,12 @@
-"""Shared random-instance generators and a signal-pair comparison for the
-test suite.
+"""Shared random-instance generators, and signal-pair and rule comparisons,
+for the test suite.
 
 Costs are drawn from continuous distributions, so cost margins are nonzero
 almost surely; generators that promise a finite threshold ratio reject the
 draws where the margin signs disagree.
 """
 
+import math
 import os
 from pathlib import Path
 
@@ -17,8 +18,11 @@ from sigeq import (
     GameSpec,
     NoiseModel,
     PeakPower,
+    ReceiverRule,
+    RuleKind,
     SignalDesign,
     derived_quantities,
+    rules_equal,
 )
 from sigeq.detection import _num_close
 
@@ -33,6 +37,34 @@ def signals_equal(lhs: SignalDesign, rhs: SignalDesign, tol: float = 0.0) -> boo
     """Both pairs agree level by level within ``tol``; a vector level never
     equals a scalar one."""
     return _num_close(lhs.s0, rhs.s0, tol) and _num_close(lhs.s1, rhs.s1, tol)
+
+
+def _unit_rule(rule: ReceiverRule) -> tuple[np.ndarray, float]:
+    """(a, eta) of a threshold rule scaled to a unit direction.  The largest
+    entry of a is divided out first, so no square overflows or underflows, as
+    it can in ``ReceiverRule.normalized`` at extreme magnitudes."""
+    a = np.atleast_1d(np.asarray(rule.a, dtype=float))
+    top = float(np.max(np.abs(a)))
+    a, eta = a / top, rule.eta / top
+    norm = math.sqrt(float(a @ a))
+    return a / norm, eta / norm
+
+
+def rules_close(lhs: ReceiverRule, rhs: ReceiverRule, rel: float) -> bool:
+    """Both rules are of one kind and, scaled to a unit direction, the vectors
+    (a, eta) differ by at most ``rel`` times the length of ``rhs``'s.  A scalar
+    direction counts as a 1-vector; rules that ignore the observation must be
+    equal."""
+    if lhs.kind is not rhs.kind:
+        return False
+    if lhs.kind is not RuleKind.THRESHOLD:
+        return rules_equal(lhs, rhs)
+    (xa, x_eta), (ya, y_eta) = _unit_rule(lhs), _unit_rule(rhs)
+    if xa.shape != ya.shape:
+        return False
+    da = xa - ya
+    gap = math.hypot(math.sqrt(float(da @ da)), x_eta - y_eta)
+    return gap <= rel * math.hypot(1.0, y_eta)
 
 
 def random_agent(rng: np.random.Generator) -> AgentParams:

@@ -532,6 +532,65 @@ def test_certification_matches_the_grid_oracle(monkeypatch):
     assert 0 < informative < len(games)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e6, 1e12])
+def test_nash_outcome_is_invariant_to_the_transmitters_cost_unit(scale):
+    # scaling the transmitter's costs rescales its risk and changes no
+    # equilibrium: the certification tolerance scales with them
+    rng = np.random.default_rng(3)
+    for _ in range(600):
+        spec = random_avg_spec(rng)
+        tx = spec.transmitter
+        scaled = AgentParams(tx.prior0, tx.prior1,
+                             tuple(tuple(scale * c for c in row) for row in tx.costs))
+        rep = solve(spec, Concept.NASH)
+        moved = solve(GameSpec(scaled, spec.receiver, spec.noise, spec.power),
+                      Concept.NASH)
+        assert (moved.case_label, moved.existence, moved.informative) == \
+            (rep.case_label, rep.existence, rep.informative), spec
+        assert moved.d_star == pytest.approx(rep.d_star, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("tx, rx, sigma, p_avg", [
+    # costs of 1e-111: the split's risk 2.2e-111 against the best response's
+    # 0 is the whole risk, yet below an absolute 1e-12
+    (AgentParams(0.561584250002581, 0.43841574999741895,
+                 ((0.0, 0.0), (0.34779047620594006, 5.118628345881961e-111))),
+     AgentParams(7.683743614927887e-225, 1.0,
+                 ((0.0, 1.3237796590957411), (1.3927542139273308e+237,
+                                              3.0997664020108347e-233))),
+     3.721306847918185e-05, 6.01748806258656e+137),
+    # a miss margin of 1.9e148 whose error tail vanishes: the gap of 0.13 is
+    # far below 1e-12 (pi0 |fa| + pi1 |miss|) = 1.7e136, yet real
+    (AgentParams(0.11679509553033982, 0.8832049044696602,
+                 ((1.1025846470507799, 1.8934017799485145e+148),
+                  (0.0, 1.276458932585283))),
+     AgentParams(0.35420556398062336, 0.6457944360193766,
+                 ((0.0, 2.8432997003161574e+69), (0.7141798643792725, 0.0))),
+     2.5811127139147914e+78, 2.3065788856972855e+261),
+])
+def test_certification_tolerance_follows_the_size_of_the_risk_terms(tx, rx, sigma,
+                                                                    p_avg):
+    rep = solve(GameSpec(tx, rx, NoiseModel.scalar(sigma), AveragePower(p_avg)),
+                Concept.NASH)
+    assert rep.existence is Existence.ONLY_DEGENERATE
+
+
+def test_a_zero_false_alarm_margin_splits_where_the_miss_weight_underflows():
+    # fa = 0 and tau |miss| underflows to 0: both split weights vanish, and
+    # the exact split x = 0 is taken
+    tx = AgentParams(0.7432796437233467, 0.25672035627665335,
+                     ((0, 0), (0, 3.5558393659987464e-166)))
+    rx = AgentParams(0.18160494250725776, 0.8183950574927422,
+                     ((0, 1.4103862414334636), (3.2807869601171646e-186, 0)))
+    spec = GameSpec(tx, rx, NoiseModel.scalar(1.129357342649006e+50),
+                    AveragePower(6.36777139939165e-189))
+    rep = solve(spec, Concept.NASH)
+    assert math.isfinite(rep.risk_t) and math.isfinite(rep.risk_r)
+    assert (rep.risk_t, rep.risk_r) == risk_pair(tx, rx, rep.signals, rep.rule,
+                                                 spec.noise)
+    assert avgpower._stationary_split(0.0, 0.0, 4.0, 0.75, 0.25) == (0.0, 4.0)
+
+
 def test_huge_budgets_solve_in_finite_time():
     # the grid oracle's golden section never ends here: its 1e-10 stopping
     # width is below the ulp of x once p_avg is about 1e13 pi0
