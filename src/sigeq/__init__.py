@@ -36,38 +36,30 @@ from .detection import (
     rule_error_probs,
     rules_equal,
 )
-from .equilibrium import (
-    Concept,
-    EquilibriumReport,
-    Existence,
-    _solve,
-    informative_risks,
-    separation_levels,
-)
-from .team import require_identical_agents
 from .stackelberg import (
-    EndpointChoice,
-    Perturbation,
-    RobustnessScan,
-    ScanEntry,
-    TransmitterPreference,
     classify_transmitter_preference,
-    endpoint_rule,
     preset_biased_cost,
     preset_deception,
     preset_subjective_priors,
-    robustness_scan,
-    single_cost_perturbations,
 )
 from .nash import (
     DynamicsTrace,
+    Existence,
     OutcomeKind,
     best_response_dynamics,
-    best_response_receiver,
     best_response_transmitter,
 )
-from .avgpower import max_separation_signals, nash_avg_best_response
-from .oracle import McEstimate, grid_search_transmitter, mc_estimate
+from .avgpower import nash_avg_best_response
+from .equilibrium import Concept, EquilibriumReport, _solve, informative_risks
+from .team import (
+    Perturbation,
+    RobustnessScan,
+    ScanEntry,
+    require_identical_agents,
+    robustness_scan,
+    single_cost_perturbations,
+)
+from .oracle import McEstimate, mc_estimate
 
 __version__ = "0.1.0"
 

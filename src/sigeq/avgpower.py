@@ -14,6 +14,9 @@ that each hold at most one root, and each sign change is refined to rounding.
 The Nash equilibrium needs no search: against the rule matched to the pair
 itself, the first-order condition has one root in closed form, and the best
 response only certifies that this root is a global one.
+
+The realizer (``_place_avg``) and the Nash solve (``_nash_avg``) return
+values to the solve pipeline in ``equilibrium``, which builds the reports.
 """
 
 import math
@@ -28,23 +31,15 @@ from .detection import (
     RuleKind,
     SignalDesign,
     SpecError,
-    _matched_rule,
     _sign,
     bayes_risk,
     check_power,
+    optimal_receiver_rule,
     rule_error_probs,
 )
-from .equilibrium import (
-    Concept,
-    EquilibriumReport,
-    Existence,
-    _Choice,
-    _informative_report,
-    babbling_report,
-)
-from .nash import _xi_label
+from .nash import Existence, _xi_label
 
-__all__ = ["max_separation_signals", "nash_avg_best_response"]
+__all__ = ["nash_avg_best_response"]
 
 _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
@@ -61,35 +56,26 @@ _ROUND = 16.0 * math.ulp(1.0)
 _CERTIFY_REL = 1e-12
 
 
-def max_separation_signals(beta0: float, beta1: float, budget: float) -> SignalDesign:
-    """Signal pair maximizing (s1 - s0)^2 subject to b0 s0^2 + b1 s1^2 <= P.
+def _place_avg(spec: GameSpec, dq: DerivedQuantities,
+               d_star: float) -> tuple[SignalDesign, ReceiverRule]:
+    """The pair of largest separation, shrunk toward the origin to separation
+    d*, and its matched rule.
 
-    The optimum makes the constraint tight and splits energy inversely to the
-    weights: s0 = -sqrt(b1 P / (b0 (b0 + b1))), s1 = +sqrt(b0 P / (b1 (b0 + b1))).
+    Under pi0 s0^2 + pi1 s1^2 <= P the separation (s1 - s0)^2 is largest when
+    the budget binds and splits energy inversely to the priors:
+    s0 = -sqrt(pi1 P / (pi0 (pi0 + pi1))), s1 = +sqrt(pi0 P / (pi1 (pi0 + pi1))).
+    Shrinking keeps the budget feasible and scales the separation linearly.
     """
-    if not (beta0 > 0.0 and beta1 > 0.0 and budget > 0.0):
-        raise SpecError("weights and budget must be strictly positive")
+    # at the full budget, even an overflowed d_max = inf, the extreme pair itself
+    scale = d_star / dq.d_max if d_star < dq.d_max else 1.0
+    tx = spec.transmitter
+    beta0, beta1, budget = tx.prior0, tx.prior1, spec.power.p_avg
     total = beta0 + beta1
     s0 = -math.sqrt(beta1 * budget / (beta0 * total))
     s1 = math.sqrt(beta0 * budget / (beta1 * total))
-    return SignalDesign(s0, s1)
-
-
-def _place_avg(spec: GameSpec, dq: DerivedQuantities,
-               choice: _Choice) -> tuple[SignalDesign, ReceiverRule, float]:
-    """The extreme pair, shrunk toward the origin to separation d*.
-
-    The budget stays feasible and the separation scales linearly.
-    """
-    # at the full budget, even an overflowed d_max = inf, the extreme pair itself
-    scale = choice.d_star / dq.d_max if choice.d_star < dq.d_max else 1.0
-    base = max_separation_signals(spec.transmitter.prior0,
-                                  spec.transmitter.prior1,
-                                  spec.power.p_avg)
-    signals = SignalDesign(dq.zeta * scale * base.s0, dq.zeta * scale * base.s1)
-    check_power(signals, spec.power, spec.transmitter)
-    return (signals, _matched_rule(signals, spec.noise, dq.tau.value, dq.log_tau,
-                                   dq.zeta), choice.d_star)
+    signals = SignalDesign(dq.zeta * scale * s0, dq.zeta * scale * s1)
+    check_power(signals, spec.power, tx)
+    return signals, optimal_receiver_rule(signals, spec.noise, dq)
 
 
 def _arc_point(f: float) -> tuple[float, float]:
@@ -376,9 +362,12 @@ def _risk_size(agent: AgentParams, p10: float, p01: float) -> float:
             + agent.prior1 * abs(agent.miss_margin) * p01)
 
 
-def _nash_avg_report(spec: GameSpec, dq: DerivedQuantities) -> EquilibriumReport:
+def _nash_avg(spec: GameSpec,
+              dq: DerivedQuantities) -> tuple[str, Existence, tuple | None]:
     """Nash equilibrium under an average-power budget, once the solve
-    pipeline has derived a finite tau.
+    pipeline has derived a finite tau: (label, existence, placed), where
+    ``placed`` is None for the coincident pair, else the informative
+    (signals, rule, d*, (risk_t, risk_r)), scored by the rule.
 
     At an informative equilibrium the pair sits on the budget curve at some
     split x = |s0|, y = |s1|, oriented as s0 = -sign(fa) x, s1 = sign(miss) y
@@ -405,27 +394,24 @@ def _nash_avg_report(spec: GameSpec, dq: DerivedQuantities) -> EquilibriumReport
     label = _xi_label(sx0, sx1)
     if fa == 0.0 and miss == 0.0:
         # an indifferent transmitter settles on coincident signals
-        return babbling_report(Concept.NASH, spec, dq, label, Existence.EXISTS)
+        return label, Existence.EXISTS, None
     x, y = _stationary_split(abs(fa), tau * abs(miss), spec.power.p_avg,
                              tx.prior0, tx.prior1)
     # the matched rule's direction is zeta (s1 - s0) = sx0 x + sx1 y; against
     # a < 0 the mirror pair does strictly better, so the root cannot certify
     # and the numeric response is not needed
     if sx0 * x + sx1 * y <= 0.0:
-        return babbling_report(Concept.NASH, spec, dq, label,
-                               Existence.ONLY_DEGENERATE)
+        return label, Existence.ONLY_DEGENERATE, None
     signals = SignalDesign(-dq.zeta * sx0 * x, dq.zeta * sx1 * y)
-    rule = _matched_rule(signals, spec.noise, tau, dq.log_tau, dq.zeta)
+    rule = optimal_receiver_rule(signals, spec.noise, dq)
     probs = rule_error_probs(signals, rule, spec.noise)
     risk_t, risk_r = bayes_risk(tx, *probs), bayes_risk(spec.receiver, *probs)
     best, _ = nash_avg_best_response(rule, tx, spec.power.p_avg, spec.noise)
     best_probs = rule_error_probs(best, rule, spec.noise)
     size = max(_risk_size(tx, *probs), _risk_size(tx, *best_probs))
     if risk_t > bayes_risk(tx, *best_probs) + _CERTIFY_REL * size:
-        return babbling_report(Concept.NASH, spec, dq, label,
-                               Existence.ONLY_DEGENERATE)
+        return label, Existence.ONLY_DEGENERATE, None
     if sx0 * sx1 < 0:
         label += " x*<rootP" if x < math.sqrt(spec.power.p_avg) else " x*>=rootP"
-    return _informative_report(Concept.NASH, dq, label, signals, rule,
-                               abs(signals.s1 - signals.s0) / spec.noise.sigma,
-                               (risk_t, risk_r))
+    d_star = abs(signals.s1 - signals.s0) / spec.noise.sigma
+    return label, Existence.EXISTS, (signals, rule, d_star, (risk_t, risk_r))

@@ -34,12 +34,8 @@ from .detection import (
 from .equilibrium import Concept, informative_risks
 from .nash import OutcomeKind, best_response_dynamics
 from .oracle import mc_estimate
-from .stackelberg import (
-    Perturbation,
-    preset_biased_cost,
-    preset_deception,
-    preset_subjective_priors,
-)
+from .stackelberg import preset_biased_cost, preset_deception, preset_subjective_priors
+from .team import Perturbation
 
 _SWEEP_HEADER = "param,value,d_star,risk_t,risk_r,case"
 _D_RANGE_TOL = 1e-12
@@ -275,7 +271,7 @@ def _fixed_d_rows(spec: GameSpec, lo: float, hi: float, steps: int) -> list[str]
             risk_r = bayes_risk(spec.receiver, p10, p01)
         else:
             risk_t, risk_r = informative_risks(spec.transmitter, spec.receiver,
-                                               v, tau, dq.zeta)
+                                               v, dq.log_tau, dq.zeta)
         rows.append(",".join(["d", _fmt(v), _fmt(v), _fmt(risk_t),
                               _fmt(risk_r), "fixed"]))
     return rows

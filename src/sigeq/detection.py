@@ -16,10 +16,16 @@ shared by every solver:
   orientation sign ``zeta``, the transmitter tail weights ``k0``/``k1``,
   the signs ``xi_signs`` of the cost-mismatch ratios and the maximum
   normalized signal distance ``d_max``,
-* conditional error probabilities of the matched threshold rule at a given
-  normalized distance (``conditional_error_probs``),
+* the receiver's best response to a signal pair, read from that record
+  (``optimal_receiver_rule``), and the conditional error probabilities of
+  the matched threshold rule at a normalized distance, given ln tau
+  (``conditional_error_probs``): each formula once, with its checks, and
+  called by name from the solve pipeline,
 * Bayes-risk evaluation of an arbitrary ``(signals, rule)`` pair
   (``rule_error_probs``, ``bayes_risk``).
+
+It imports no other module of the package: the choosers and realizers sit
+above it, and ``equilibrium`` above them.
 
 Cost convention: ``costs[j][i]`` is the cost of deciding Hj when Hi is
 true.  All sign classifications use exact comparisons; no epsilon is
@@ -543,18 +549,14 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
-def conditional_error_probs(d: float, tau: float, zeta: int) -> tuple[float, float]:
+def conditional_error_probs(d: float, log_tau: float, zeta: int) -> tuple[float, float]:
     """(P10, P01) of the threshold rule matched to normalized distance d.
 
     P10 = Pr(decide H1 | H0 true), P01 = Pr(decide H0 | H1 true).  Requires
-    d > 0 and a finite positive tau; coincident signals never reach this
-    formula (they are handled by the prior-only rule).
+    d > 0, a finite ln tau (NaN stands for a tau <= 0) and zeta = +1 or -1;
+    coincident signals never reach this formula (they are handled by the
+    prior-only rule).
     """
-    return _matched_error_probs(d, math.log(tau) if tau > 0.0 else math.nan, zeta)
-
-
-def _matched_error_probs(d: float, log_tau: float, zeta: int) -> tuple[float, float]:
-    """``conditional_error_probs`` given ln tau, NaN standing for a tau <= 0."""
     if not d > 0.0:
         raise SpecError("d: normalized distance must be strictly positive")
     if not math.isfinite(log_tau):
@@ -591,42 +593,35 @@ def prior_only_rule(tau: float, zeta: int) -> ReceiverRule:
     return ReceiverRule.indifferent(eta)
 
 
-def optimal_receiver_rule(signals: SignalDesign, receiver: AgentParams,
-                          noise: NoiseModel) -> ReceiverRule:
-    """Best response of the receiver to a known signal pair.
+def optimal_receiver_rule(signals: SignalDesign, noise: NoiseModel,
+                          dq: DerivedQuantities) -> ReceiverRule:
+    """Best response of the receiver to a known signal pair, from the game's
+    derived record (its case, tau, ln tau and zeta).
 
-    On a vector channel the direction solves Sigma w = s1 - s0 by LU; a
-    covariance that is positive definite by its eigenvalues but singular to
-    that factorization raises a ``SpecError`` naming ``noise.covariance``.
+    A receiver whose case ignores the observation plays its fixed rule, and
+    coincident signals get the prior-only rule.  On a vector channel the
+    direction solves Sigma w = s1 - s0 by LU; a covariance that is positive
+    definite by its eigenvalues but singular to that factorization raises a
+    ``SpecError`` naming ``noise.covariance``.
     """
-    case = receiver_case(receiver)
-    if case is not RuleKind.THRESHOLD:
-        return _FIXED_RULES[case]
-    ratio = _threshold_ratio(receiver)
-    if not ratio.is_finite:
+    if dq.case is not RuleKind.THRESHOLD:
+        return _FIXED_RULES[dq.case]
+    if not dq.tau.is_finite:
         # both margins share a sign, but their ratio underflowed to 0
         raise SpecError("tau: the matched rule needs a finite threshold ratio")
-    return _matched_rule(signals, noise, ratio.value, math.log(ratio.value),
-                         _sign(receiver.miss_margin))
-
-
-def _matched_rule(signals: SignalDesign, noise: NoiseModel, tau: float,
-                  log_tau: float, zeta: int) -> ReceiverRule:
-    """``optimal_receiver_rule`` of an LRT receiver with the given tau > 0,
-    its logarithm and zeta."""
     if signals.coincident:
-        return prior_only_rule(tau, zeta)
-    s0, s1 = signals.s0, signals.s1
+        return prior_only_rule(dq.tau.value, dq.zeta)
+    s0, s1, zeta = signals.s0, signals.s1, dq.zeta
     if noise.is_scalar:
         a = zeta * (s1 - s0)
-        eta = zeta * (noise.sigma * noise.sigma * log_tau + (s1 * s1 - s0 * s0) / 2.0)
+        eta = zeta * (noise.sigma * noise.sigma * dq.log_tau + (s1 * s1 - s0 * s0) / 2.0)
         return ReceiverRule.threshold(a, eta)
     try:
         w = np.linalg.solve(noise.covariance, s1 - s0)
     except np.linalg.LinAlgError:
         raise SpecError("noise.covariance: singular to working precision, "
                         "the matched rule cannot be solved") from None
-    eta = zeta * (log_tau + 0.5 * float(w.dot(s1 + s0)))
+    eta = zeta * (dq.log_tau + 0.5 * float(w.dot(s1 + s0)))
     return ReceiverRule.threshold(zeta * w, eta)
 
 

@@ -4,24 +4,32 @@
 threshold rule, so each concept comes down to a choice of the normalized
 distance d.  Every solve derives the game's scalars once, into one
 ``DerivedQuantities`` record (tau and ln tau, zeta, k0, k1, the receiver case,
-the xi signs and d_max); every later step reads them from it.  If tau is not
-finite, the solve reports the degenerate rule.  Else the concept's chooser
-picks a case label, an existence tag and d* (team: d_max; leader-follower:
-``classify_transmitter_preference``) or, for Nash, the full-power levels of
-its sign analysis.  The coincident pair gets the prior-only report; any other
-pair is placed, and its rule matched, by the channel's realizer (scalar peak,
-vector peak or average power), and the report filled.  Nash under an
+the xi signs and d_max); every later step reads them from it, through the
+public formulas that take the record or ln tau.  If tau is not finite, the
+solve reports the degenerate rule.  Else the concept's chooser picks a case
+label, an existence tag and d* (team: d_max; leader-follower:
+``stackelberg.classify_transmitter_preference``) or, for Nash, the
+full-power levels of its sign analysis (``nash._nash_choice``).  The
+coincident pair gets the prior-only report.  Any other pair is placed on the
+channel: on a scalar peak channel at its levels, with
+``detection.optimal_receiver_rule``; on a vector channel lifted along the
+least-noise axis (``vector``); under an average budget on the binding budget
+(``avgpower``).  Its risks come from ``informative_risks``.  Nash under an
 average-power budget has its own budget split and certification after the
-first step (see ``avgpower._nash_avg_report``).
+first step (``avgpower._nash_avg``).
+
+Imports run one way: ``detection`` at the bottom, the choosers and realizers
+above it, which return values, and this module, the one that builds reports,
+above them.  Drivers such as the robustness scan (``team``) sit above this.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
+from .avgpower import _nash_avg, _place_avg
 from .detection import (
     AgentParams,
     AveragePower,
@@ -34,20 +42,21 @@ from .detection import (
     SpecError,
     _FIXED_RULES,
     _fixed_error_probs,
-    _matched_error_probs,
-    _matched_rule,
     bayes_risk,
     conditional_error_probs,
     derived_quantities,
+    optimal_receiver_rule,
     prior_only_rule,
 )
+from .nash import Existence, _nash_choice
+from .stackelberg import classify_transmitter_preference
+from .vector import _lift_vector_peak
 
 __all__ = [
     "Concept",
     "Existence",
     "EquilibriumReport",
     "informative_risks",
-    "separation_levels",
 ]
 
 
@@ -55,11 +64,6 @@ class Concept(Enum):
     TEAM = "team"
     STACKELBERG = "stackelberg"
     NASH = "nash"
-
-
-class Existence(Enum):
-    EXISTS = "exists"
-    ONLY_DEGENERATE = "only-degenerate"
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,26 +89,10 @@ class EquilibriumReport:
 
 
 def informative_risks(transmitter: AgentParams, receiver: AgentParams,
-                      d: float, tau: float, zeta: int) -> tuple[float, float]:
+                      d: float, log_tau: float, zeta: int) -> tuple[float, float]:
     """Risk pair at normalized distance d under the matched threshold rule."""
-    p10, p01 = conditional_error_probs(d, tau, zeta)
+    p10, p01 = conditional_error_probs(d, log_tau, zeta)
     return bayes_risk(transmitter, p10, p01), bayes_risk(receiver, p10, p01)
-
-
-def separation_levels(zeta: int, p0: float, p1: float, d_star: float,
-                      sigma_eff: float) -> tuple[float, float]:
-    """Canonical scalar signal levels at normalized separation ``d_star``.
-
-    Levels are oriented so the matched rule direction is positive.  The
-    first level starts at its full budget and is shifted only when the other
-    budget would otherwise be exceeded.
-    """
-    root0 = math.sqrt(p0)
-    root1 = math.sqrt(p1)
-    gap = d_star * sigma_eff
-    shift = max(0.0, root0 - root1 - gap)
-    u0 = -root0 + shift
-    return zeta * u0, zeta * (u0 + gap)
 
 
 def degenerate_receiver_report(concept: Concept, spec: GameSpec,
@@ -163,33 +151,25 @@ def _zero_pair_report(concept: Concept, spec: GameSpec, dq: DerivedQuantities,
 # the pipeline
 
 
-class _Choice(NamedTuple):
-    """A chooser's answer.  With neither ``d_star`` nor ``levels`` set it is
-    the coincident pair; ``levels`` are the (u0, u1) Nash settles on, in
-    units of the channel's canonical axis."""
-
-    label: str
-    existence: Existence
-    d_star: float | None = None
-    levels: tuple[float, float] | None = None
-
-
-def _peak_levels(power: PeakPower, zeta: int, choice: _Choice,
+def _peak_levels(power: PeakPower, zeta: int, d_star: float | None,
+                 levels: tuple[float, float] | None,
                  sigma_eff: float) -> tuple[tuple[float, float], float]:
-    """Signal levels on an axis with noise scale ``sigma_eff``, and their d*."""
-    if choice.levels is None:
-        return separation_levels(zeta, power.p0, power.p1, choice.d_star,
-                                 sigma_eff), choice.d_star
-    u0, u1 = choice.levels
-    return choice.levels, abs(u1 - u0) / sigma_eff
+    """Signal levels on an axis with noise scale ``sigma_eff``, and their d*.
 
-
-def _place_scalar_peak(spec: GameSpec, dq: DerivedQuantities,
-                       choice: _Choice) -> tuple[SignalDesign, ReceiverRule, float]:
-    (u0, u1), d_star = _peak_levels(spec.power, dq.zeta, choice, spec.noise.sigma)
-    signals = SignalDesign(u0, u1)
-    return (signals, _matched_rule(signals, spec.noise, dq.tau.value, dq.log_tau,
-                                   dq.zeta), d_star)
+    Nash's ``levels`` are kept as they are.  Otherwise the canonical levels
+    at separation ``d_star`` are oriented so the matched rule direction is
+    positive: the first level starts at its full budget and is shifted only
+    when the other budget would otherwise be exceeded.
+    """
+    if levels is not None:
+        u0, u1 = levels
+        return levels, abs(u1 - u0) / sigma_eff
+    root0 = math.sqrt(power.p0)
+    root1 = math.sqrt(power.p1)
+    gap = d_star * sigma_eff
+    shift = max(0.0, root0 - root1 - gap)
+    u0 = -root0 + shift
+    return (zeta * u0, zeta * (u0 + gap)), d_star
 
 
 def _solve(spec: GameSpec, concept: Concept) -> EquilibriumReport:
@@ -198,27 +178,37 @@ def _solve(spec: GameSpec, concept: Concept) -> EquilibriumReport:
     dq = derived_quantities(spec)
     if not dq.tau.is_finite:
         return degenerate_receiver_report(concept, spec, dq)
-    if isinstance(spec.power, AveragePower):
-        if concept is Concept.NASH:
-            return _nash_avg_report(spec, dq)
-        place = _place_avg
-    elif spec.noise.is_scalar:
-        place = _place_scalar_peak
-    else:
-        place = _place_vector_peak
+    average = isinstance(spec.power, AveragePower)
+    if average and concept is Concept.NASH:
+        label, existence, placed = _nash_avg(spec, dq)
+        if placed is None:
+            return babbling_report(concept, spec, dq, label, existence)
+        return _informative_report(concept, dq, label, *placed)
+    existence, d_star, levels = Existence.EXISTS, None, None
     if concept is Concept.TEAM:
-        choice = _Choice("informative", Existence.EXISTS, dq.d_max)
+        label, d_star = "informative", dq.d_max
     elif concept is Concept.STACKELBERG:
-        label, d_star = _preference(dq.k0, dq.k1, dq.tau.value, dq.log_tau, dq.d_max)
-        choice = _Choice(label, Existence.EXISTS, d_star if d_star != 0.0 else None)
+        label, d_star = classify_transmitter_preference(dq)
+        if d_star == 0.0:
+            d_star = None
     else:
-        choice = _nash_choice(dq, spec.power)
-    if choice.d_star is None and choice.levels is None:
-        return babbling_report(concept, spec, dq, choice.label, choice.existence)
-    signals, rule, d_star = place(spec, dq, choice)
-    p10, p01 = _matched_error_probs(d_star, dq.log_tau, dq.zeta)
-    risks = bayes_risk(spec.transmitter, p10, p01), bayes_risk(spec.receiver, p10, p01)
-    return _informative_report(concept, dq, choice.label, signals, rule, d_star, risks)
+        label, existence, levels = _nash_choice(dq, spec.power)
+    if d_star is None and levels is None:
+        return babbling_report(concept, spec, dq, label, existence)
+    noise = spec.noise
+    if average:
+        signals, rule = _place_avg(spec, dq, d_star)
+    elif noise.is_scalar:
+        (u0, u1), d_star = _peak_levels(spec.power, dq.zeta, d_star, levels, noise.sigma)
+        signals = SignalDesign(u0, u1)
+        rule = optimal_receiver_rule(signals, noise, dq)
+    else:
+        (u0, u1), d_star = _peak_levels(spec.power, dq.zeta, d_star, levels,
+                                        math.sqrt(noise.min_eigenvalue))
+        signals, rule = _lift_vector_peak(noise, dq, u0, u1)
+    risks = informative_risks(spec.transmitter, spec.receiver, d_star, dq.log_tau,
+                              dq.zeta)
+    return _informative_report(concept, dq, label, signals, rule, d_star, risks)
 
 
 def _informative_report(concept: Concept, dq: DerivedQuantities, case_label: str,
@@ -238,12 +228,3 @@ def _informative_report(concept: Concept, dq: DerivedQuantities, case_label: str
         risk_r=risk_r,
         existence=Existence.EXISTS,
     )
-
-
-# The choosers and realizers live with their concepts and channels, whose
-# modules import this one for the report type and the pipeline; so they are
-# bound here, once everything above is defined.
-from .stackelberg import _preference  # noqa: E402
-from .nash import _nash_choice  # noqa: E402
-from .vector import _place_vector_peak  # noqa: E402
-from .avgpower import _nash_avg_report, _place_avg  # noqa: E402

@@ -8,12 +8,15 @@ cost-mismatch ratios xi0/xi1 and, when they disagree, on which power budget
 is larger: sign(xi1) sqrt(P1) + sign(xi0) sqrt(P0) > 0 is required for an
 informative fixed point.  The coincident-signal outcome (prior-only rule,
 direction 0) is an equilibrium in every game with a finite tau, and is the
-only one when the consistency condition fails.
+only one when the consistency condition fails (``Existence``).
 
 That sign analysis (``_nash_choice``), on the xi signs of the derived
 record, is the Nash chooser of the solve pipeline in ``equilibrium`` on both
 peak-power channels; the average-power game shares those signs and the
-``xi(., .)`` label.
+``xi(., .)`` label.  Best-response dynamics pair the transmitter's response
+with the receiver's, ``detection.optimal_receiver_rule``.  The module
+imports only ``detection``; it returns values, and ``equilibrium`` builds
+the reports.
 """
 
 import math
@@ -24,23 +27,20 @@ from .detection import (
     AgentParams,
     DerivedQuantities,
     GameSpec,
-    NoiseModel,
     PeakPower,
     ReceiverRule,
     RuleKind,
     SignalDesign,
     SpecError,
     _sign,
-    _threshold_ratio,
     derived_quantities,
     optimal_receiver_rule,
     rules_equal,
 )
-from .equilibrium import Existence, _Choice
 
 __all__ = [
+    "Existence",
     "best_response_transmitter",
-    "best_response_receiver",
     "OutcomeKind",
     "DynamicsTrace",
     "best_response_dynamics",
@@ -48,6 +48,14 @@ __all__ = [
 
 _CYCLE_TOL = 1e-12
 _SIGN_MARKS = {1: "+", 0: "0", -1: "-"}
+
+
+class Existence(Enum):
+    """Whether the reported outcome is an equilibrium that exists, or the
+    coincident outcome standing in for an informative one that does not."""
+
+    EXISTS = "exists"
+    ONLY_DEGENERATE = "only-degenerate"
 
 
 def best_response_transmitter(rule: ReceiverRule, transmitter: AgentParams,
@@ -66,27 +74,22 @@ def best_response_transmitter(rule: ReceiverRule, transmitter: AgentParams,
     return SignalDesign(s0, s1)
 
 
-def best_response_receiver(signals: SignalDesign, receiver: AgentParams,
-                           noise: NoiseModel) -> ReceiverRule:
-    """Optimal rule against a known pair; requires a finite threshold ratio."""
-    if not _threshold_ratio(receiver).is_finite:
-        raise SpecError("tau: receiver best response needs a finite threshold ratio")
-    return optimal_receiver_rule(signals, receiver, noise)
-
-
 def _xi_label(sx0: int, sx1: int) -> str:
     return f"xi({_SIGN_MARKS[sx0]},{_SIGN_MARKS[sx1]})"
 
 
-def _nash_choice(dq: DerivedQuantities, power: PeakPower) -> _Choice:
-    """Nash outcome of a peak-power game with a finite tau, by the xi signs."""
+def _nash_choice(dq: DerivedQuantities, power: PeakPower
+                 ) -> tuple[str, Existence, tuple[float, float] | None]:
+    """Nash outcome of a peak-power game with a finite tau, by the xi signs:
+    (label, existence, levels).  ``levels`` are the full-power (u0, u1) in
+    units of the channel's canonical axis, or None for the coincident pair."""
     sx0, sx1 = dq.xi_signs
     label = _xi_label(sx0, sx1)
     if sx0 == 0 or sx1 == 0:
         # an indifferent transmitter settles on coincident signals
-        return _Choice(label, Existence.EXISTS)
+        return label, Existence.EXISTS, None
     if sx0 < 0 and sx1 < 0:
-        return _Choice(label, Existence.ONLY_DEGENERATE)
+        return label, Existence.ONLY_DEGENERATE, None
     p0, p1 = power.p0, power.p1
     root0 = math.sqrt(p0)
     root1 = math.sqrt(p1)
@@ -95,11 +98,10 @@ def _nash_choice(dq: DerivedQuantities, power: PeakPower) -> _Choice:
         consistency = sx1 * root1 + sx0 * root0
         if consistency == 0.0:
             # mutual best responses force coincident signals
-            return _Choice(label, Existence.EXISTS)
+            return label, Existence.EXISTS, None
         if consistency < 0.0:
-            return _Choice(label, Existence.ONLY_DEGENERATE)
-    return _Choice(label, Existence.EXISTS,
-                   levels=(-dq.zeta * sx0 * root0, dq.zeta * sx1 * root1))
+            return label, Existence.ONLY_DEGENERATE, None
+    return label, Existence.EXISTS, (-dq.zeta * sx0 * root0, dq.zeta * sx1 * root1)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +150,8 @@ def best_response_dynamics(spec: GameSpec,
     """
     if not spec.noise.is_scalar or not isinstance(spec.power, PeakPower):
         raise SpecError("dynamics: defined for scalar peak-power games")
-    if not derived_quantities(spec).tau.is_finite:
+    dq = derived_quantities(spec)
+    if not dq.tau.is_finite:
         raise SpecError("tau: dynamics require a finite threshold ratio")
     if init_rule is None:
         init_rule = ReceiverRule.threshold(1.0, 0.0)
@@ -159,7 +162,7 @@ def best_response_dynamics(spec: GameSpec,
     for step in (1, 2, 3):
         signals = best_response_transmitter(prev_rule, spec.transmitter,
                                             spec.power)
-        rule = best_response_receiver(signals, spec.receiver, spec.noise)
+        rule = optimal_receiver_rule(signals, spec.noise, dq)
         iterates.append((signals, rule))
         # rule == prev_rule makes (signals, prev_rule) a mutual best-response
         # pair, so the trajectory is constant from here on

@@ -1,10 +1,8 @@
-"""Independent numeric checks: channel simulation and brute-force search.
+"""Independent numeric check: channel simulation.
 
 The Monte Carlo estimator never touches the analytic error-probability
 formulas; it pushes simulated observations through the decision rule and
-counts.  The grid search does evaluate the analytic risk, but scans
-separations by brute force instead of trusting the solver's case analysis.
-Both exist to catch mistakes in the closed-form solvers.
+counts, to catch mistakes in the closed-form solvers.
 
 Reproducibility contract: sampling uses the Philox counter-based generator,
 one independent subsequence per (hypothesis, chunk) derived from the master
@@ -24,29 +22,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 
 from .detection import (
     AgentParams,
-    GameSpec,
     NoiseModel,
-    PeakPower,
     ReceiverRule,
     RuleKind,
     SignalDesign,
     SpecError,
     _fixed_error_probs,
     bayes_risk,
-    derived_quantities,
-    prior_only_rule,
 )
-from .equilibrium import Concept
 
-__all__ = ["McEstimate", "mc_estimate", "grid_search_transmitter"]
+__all__ = ["McEstimate", "mc_estimate"]
 
 _CHUNK = 1 << 15
 _MIN_SAMPLES = 10_000
-_SQRT2 = math.sqrt(2.0)
 # The sampler's uniforms lie on the lattice k * 2**-53 for 1 <= k < 2**53
 # (random() yields k = 0 too; it is moved to k = 1).
 _U_MIN = 2.0 ** -53
@@ -264,36 +256,3 @@ def mc_estimate(signals: SignalDesign, rule: ReceiverRule, noise: NoiseModel,
         se10, se01, risk_se(tx), risk_se(rx),
         n, seed,
     )
-
-
-def grid_search_transmitter(spec: GameSpec, concept: Concept,
-                            grid_size: int) -> tuple[float, float]:
-    """Brute-force scan of the transmitter's risk over separation choices.
-
-    The receiver always plays its matched follower rule, including the
-    prior-only response to the coincident pair at d = 0.  Returns the first
-    minimizing grid point, so ties resolve to the smallest separation.
-    """
-    if concept is not Concept.STACKELBERG:
-        raise SpecError("concept: only the leader-follower search is defined")
-    if not spec.noise.is_scalar or not isinstance(spec.power, PeakPower):
-        raise SpecError("spec: scalar peak-power game required")
-    if grid_size < 2:
-        raise SpecError("grid_size: need at least the two endpoints")
-    dq = derived_quantities(spec)
-    if not dq.tau.is_finite:
-        raise SpecError("tau: grid search requires a finite threshold ratio")
-    tau = dq.tau.finite_value()
-    tx = spec.transmitter
-
-    ds = np.linspace(0.0, dq.d_max, grid_size)
-    risks = np.empty(grid_size)
-    p10_0, p01_0 = _fixed_error_probs(prior_only_rule(tau, dq.zeta))
-    risks[0] = bayes_risk(tx, p10_0, p01_0)
-
-    pos = ds[1:]
-    p10 = 0.5 * erfc(dq.zeta * (dq.log_tau / pos + pos / 2.0) / _SQRT2)
-    p01 = 0.5 * erfc(dq.zeta * (-dq.log_tau / pos + pos / 2.0) / _SQRT2)
-    risks[1:] = bayes_risk(tx, p10, p01)
-    i = int(np.argmin(risks))
-    return float(ds[i]), float(risks[i])

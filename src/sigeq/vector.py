@@ -13,19 +13,16 @@ matched rule along the minimum eigenvector.  ``NoiseModel`` derives that pair
 when it is built, so no solve decomposes or factors the covariance.
 """
 
-import math
-
-from .detection import DerivedQuantities, GameSpec, ReceiverRule, SignalDesign
-from .equilibrium import _Choice, _peak_levels
+from .detection import DerivedQuantities, NoiseModel, ReceiverRule, SignalDesign
 
 __all__: list[str] = []
 
 
-def _place_vector_peak(spec: GameSpec, dq: DerivedQuantities,
-                       choice: _Choice) -> tuple[SignalDesign, ReceiverRule, float]:
-    """Lift the scalar levels (u0, u1) at sigma_eff = sqrt(lambda) along the
-    unit eigenvector v of the least eigenvalue lambda, with the rule matched
-    to the lifted pair.
+def _lift_vector_peak(noise: NoiseModel, dq: DerivedQuantities, u0: float,
+                      u1: float) -> tuple[SignalDesign, ReceiverRule]:
+    """Lift the scalar levels (u0, u1), placed at sigma_eff = sqrt(lambda),
+    along the unit eigenvector v of the least eigenvalue lambda, with the
+    rule matched to the lifted pair.
 
     The pair is s_i = u_i v.  Since Sigma v = lambda v, the whitened
     difference Sigma^-1 (s1 - s0) is c v with c = (u1 - u0) / lambda, so the
@@ -34,11 +31,9 @@ def _place_vector_peak(spec: GameSpec, dq: DerivedQuantities,
     game's.  Levels that round to one value leave no direction, which the
     rule refuses with a ``SpecError``.
     """
-    noise = spec.noise
     lam = noise.min_eigenvalue
-    (u0, u1), d_star = _peak_levels(spec.power, dq.zeta, choice, math.sqrt(lam))
     axis = noise.min_eigenvector
     c = (u1 - u0) / lam
     rule = ReceiverRule.threshold((dq.zeta * c) * axis,
                                   dq.zeta * (dq.log_tau + 0.5 * (c * (u1 + u0))))
-    return SignalDesign(u0 * axis, u1 * axis), rule, d_star
+    return SignalDesign(u0 * axis, u1 * axis), rule

@@ -1,5 +1,5 @@
-"""Shared random-instance generators, and signal-pair and rule comparisons,
-for the test suite.
+"""Shared random-instance generators, signal-pair and rule comparisons, and
+the brute-force leader oracle, for the test suite.
 
 Costs are drawn from continuous distributions, so cost margins are nonzero
 almost surely; generators that promise a finite threshold ratio reject the
@@ -11,6 +11,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+from scipy.special import erfc
 
 from sigeq import (
     AgentParams,
@@ -21,7 +22,11 @@ from sigeq import (
     ReceiverRule,
     RuleKind,
     SignalDesign,
+    bayes_risk,
     derived_quantities,
+    optimal_receiver_rule,
+    prior_only_rule,
+    rule_error_probs,
     rules_equal,
 )
 from sigeq.detection import _num_close
@@ -37,6 +42,44 @@ def signals_equal(lhs: SignalDesign, rhs: SignalDesign, tol: float = 0.0) -> boo
     """Both pairs agree level by level within ``tol``; a vector level never
     equals a scalar one."""
     return _num_close(lhs.s0, rhs.s0, tol) and _num_close(lhs.s1, rhs.s1, tol)
+
+
+def matched_rule(signals: SignalDesign, receiver: AgentParams,
+                 noise: NoiseModel) -> ReceiverRule:
+    """``optimal_receiver_rule`` of ``receiver`` against ``signals``, on the
+    derived record of a game with that receiver on ``noise``; the rule reads
+    only the receiver's fields (case, tau, ln tau, zeta), so the transmitter
+    and the budget are placeholders."""
+    spec = GameSpec(receiver, receiver, noise, PeakPower(1.0, 1.0), noise.dimension)
+    return optimal_receiver_rule(signals, noise, derived_quantities(spec))
+
+
+def grid_search_transmitter(spec: GameSpec, grid_size: int) -> tuple[float, float]:
+    """Brute-force scan of the leader's risk over ``grid_size`` separations
+    in [0, d_max] of a scalar peak-power game with a finite tau.
+
+    The receiver always plays its matched follower rule, including the
+    prior-only response to the coincident pair at d = 0.  The risk at d > 0
+    is written out here from the matched rule's error tails, with scipy's
+    ``erfc``, apart from the solver's case analysis.  Returns the first
+    minimizing grid point, so ties resolve to the smallest separation.
+    """
+    assert spec.noise.is_scalar and isinstance(spec.power, PeakPower) and grid_size >= 2
+    dq = derived_quantities(spec)
+    assert dq.tau.is_finite
+    tx = spec.transmitter
+    ds = np.linspace(0.0, dq.d_max, grid_size)
+    risks = np.empty(grid_size)
+    coincident = SignalDesign(0.0, 0.0)
+    risks[0] = bayes_risk(tx, *rule_error_probs(
+        coincident, prior_only_rule(dq.tau.value, dq.zeta), spec.noise))
+    pos = ds[1:]
+    sqrt2 = math.sqrt(2.0)
+    p10 = 0.5 * erfc(dq.zeta * (dq.log_tau / pos + pos / 2.0) / sqrt2)
+    p01 = 0.5 * erfc(dq.zeta * (-dq.log_tau / pos + pos / 2.0) / sqrt2)
+    risks[1:] = bayes_risk(tx, p10, p01)
+    i = int(np.argmin(risks))
+    return float(ds[i]), float(risks[i])
 
 
 def _unit_rule(rule: ReceiverRule) -> tuple[np.ndarray, float]:

@@ -25,14 +25,12 @@ from sigeq import (
     ReceiverRule,
     RuleKind,
     best_response_dynamics,
-    best_response_receiver,
     best_response_transmitter,
     conditional_error_probs,
     d_max_of,
     derived_quantities,
-    grid_search_transmitter,
-    max_separation_signals,
     mc_estimate,
+    optimal_receiver_rule,
     preset_biased_cost,
     preset_subjective_priors,
     robustness_scan,
@@ -44,6 +42,8 @@ from sigeq import (
 from conftest import (
     demo_spec,
     fragile_team_spec,
+    grid_search_transmitter,
+    random_avg_spec,
     random_identical_spec,
     random_scalar_spec,
     signals_equal,
@@ -89,8 +89,7 @@ def test_criterion_02_solver_beats_grid_search():
     for _ in range(1000):
         spec = random_scalar_spec(rng)
         rep = solve(spec, Concept.STACKELBERG)
-        _, risk_best = grid_search_transmitter(spec, Concept.STACKELBERG,
-                                               grid_size=2001)
+        _, risk_best = grid_search_transmitter(spec, grid_size=2001)
         if rep.risk_t > risk_best + 1e-9:
             violations += 1
     elapsed = time.perf_counter() - t0
@@ -127,7 +126,7 @@ def test_criterion_03_team_risk_strictly_decreasing():
                      - 0.5 * u * u - 0.5 * math.log(2.0 * math.pi))
         if not np.all(np.isfinite(log_slope)):
             derivative_fails += 1
-        probs = [conditional_error_probs(float(d), dq.tau.value, dq.zeta)
+        probs = [conditional_error_probs(float(d), dq.log_tau, dq.zeta)
                  for d in grid]
         excess = np.array([tx.prior0 * tx.false_alarm_margin * p10
                            + tx.prior1 * tx.miss_margin * p01
@@ -153,7 +152,7 @@ def test_criterion_03_derivative_identity_spot_check():
     h = 1e-6
 
     def excess(d):
-        p10, p01 = conditional_error_probs(d, dq.tau.value, dq.zeta)
+        p10, p01 = conditional_error_probs(d, dq.log_tau, dq.zeta)
         return (agent.prior0 * agent.false_alarm_margin * p10
                 + agent.prior1 * agent.miss_margin * p01)
 
@@ -191,8 +190,8 @@ def test_criterion_04_nash_classification_matches_dynamics():
             informative_seen += 1
             sig_back = best_response_transmitter(rep.rule, spec.transmitter,
                                                  spec.power)
-            rule_back = best_response_receiver(rep.signals, spec.receiver,
-                                               spec.noise)
+            rule_back = optimal_receiver_rule(rep.signals, spec.noise,
+                                              derived_quantities(spec))
             if not (signals_equal(sig_back, rep.signals)
                     and rules_equal(rule_back, rep.rule)):
                 identity_fails += 1
@@ -317,13 +316,16 @@ def test_criterion_06_monte_carlo_consistency():
 
 
 def test_criterion_07_max_separation_closed_form():
+    # the team pair of an average-power game spends the whole budget on the
+    # largest separation it allows
     rng = np.random.default_rng(43)
     loose = 0
     beaten = 0
     for _ in range(100):
-        b0, b1 = rng.uniform(0.25, 4.0, size=2)
-        p = float(rng.uniform(0.25, 4.0))
-        design = max_separation_signals(b0, b1, p)
+        spec = random_avg_spec(rng, identical=True)
+        b0, b1 = spec.transmitter.prior0, spec.transmitter.prior1
+        p = spec.power.p_avg
+        design = solve(spec, Concept.TEAM).signals
         s0, s1 = design.s0, design.s1
         if abs(b0 * s0 * s0 + b1 * s1 * s1 - p) > 1e-12:
             loose += 1

@@ -22,7 +22,7 @@ from sigeq import (
     SignalDesign,
     SpecError,
     d_max_of,
-    max_separation_signals,
+    derived_quantities,
     nash_avg_best_response,
     optimal_receiver_rule,
     q_function,
@@ -89,55 +89,55 @@ def sym_spec(sigma: float = 1.0, p_avg: float = 1.0) -> GameSpec:
 
 
 # ---------------------------------------------------------------------------
-# closed-form separation maximizer
+# closed-form separation maximizer: the team pair, which spends the whole
+# budget on the largest separation
+
+
+def team_pair(prior0: float, p_avg: float) -> SignalDesign:
+    """The team pair of honest identical agents (zeta = +1) with priors
+    (prior0, 1 - prior0) under the average budget ``p_avg``."""
+    agent = AgentParams.from_prior0(prior0, HONEST)
+    spec = GameSpec(agent, agent, NoiseModel.scalar(1.0), AveragePower(p_avg))
+    return solve(spec, Concept.TEAM).signals
 
 
 def test_max_separation_symmetric_weights():
-    pair = max_separation_signals(1.0, 1.0, 2.0)
+    pair = team_pair(0.5, 1.0)
     assert (pair.s0, pair.s1) == (-1.0, 1.0)
     assert (pair.s1 - pair.s0) ** 2 == 4.0
 
 
 def test_max_separation_skewed_weights():
-    pair = max_separation_signals(0.25, 0.75, 1.0)
+    pair = team_pair(0.25, 1.0)
     assert abs(pair.s0 + math.sqrt(3.0)) <= 1e-15
     assert abs(pair.s1 - 1.0 / math.sqrt(3.0)) <= 1e-15
     assert abs((pair.s1 - pair.s0) ** 2 - 16.0 / 3.0) <= 1e-12
     assert abs(0.25 * pair.s0 ** 2 + 0.75 * pair.s1 ** 2 - 1.0) <= 1e-12
 
 
-def test_max_separation_validation():
-    for args in ((0.0, 1.0, 1.0), (1.0, -0.5, 1.0), (1.0, 1.0, 0.0)):
-        with pytest.raises(SpecError):
-            max_separation_signals(*args)
-
-
 def test_max_separation_antipodal_for_equal_weights():
     rng = np.random.default_rng(3)
     for _ in range(25):
-        b = float(rng.uniform(0.05, 3.0))
-        p = float(rng.uniform(0.1, 9.0))
-        pair = max_separation_signals(b, b, p)
+        pair = team_pair(0.5, float(rng.uniform(0.1, 9.0)))
         assert pair.s1 == -pair.s0
 
 
 def test_max_separation_budget_tight():
     rng = np.random.default_rng(5)
     for _ in range(200):
-        b0 = float(rng.uniform(0.05, 3.0))
-        b1 = float(rng.uniform(0.05, 3.0))
+        b0 = float(rng.uniform(0.05, 0.95))
         p = float(rng.uniform(0.1, 9.0))
-        pair = max_separation_signals(b0, b1, p)
-        assert abs(b0 * pair.s0 ** 2 + b1 * pair.s1 ** 2 - p) <= 1e-12 * p
+        pair = team_pair(b0, p)
+        assert abs(b0 * pair.s0 ** 2 + (1.0 - b0) * pair.s1 ** 2 - p) <= 1e-12 * p
 
 
 def test_max_separation_beats_sampled_feasible_pairs():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        b0 = float(rng.uniform(0.05, 3.0))
-        b1 = float(rng.uniform(0.05, 3.0))
+        b0 = float(rng.uniform(0.05, 0.95))
+        b1 = 1.0 - b0
         p = float(rng.uniform(0.1, 9.0))
-        pair = max_separation_signals(b0, b1, p)
+        pair = team_pair(b0, p)
         closed = (pair.s1 - pair.s0) ** 2
         theta = rng.uniform(0.0, 2.0 * math.pi, size=20_000)
         radius = np.sqrt(rng.uniform(0.0, 1.0, size=theta.size))
@@ -149,11 +149,10 @@ def test_max_separation_beats_sampled_feasible_pairs():
 def test_extreme_pair_separation_matches_budget_distance():
     rng = np.random.default_rng(13)
     for _ in range(200):
-        spec = random_avg_spec(rng)
-        pair = max_separation_signals(spec.transmitter.prior0,
-                                      spec.transmitter.prior1,
-                                      spec.power.p_avg)
-        d = abs(pair.s1 - pair.s0) / spec.noise.sigma
+        spec = random_avg_spec(rng, identical=True)
+        rep = solve(spec, Concept.TEAM)
+        d = abs(rep.signals.s1 - rep.signals.s0) / spec.noise.sigma
+        assert rep.d_star == rep.d_max == d_max_of(spec)
         assert abs(d - d_max_of(spec)) <= 1e-12 * max(1.0, d_max_of(spec))
 
 
@@ -769,7 +768,7 @@ def _best_response_rounds(spec: GameSpec, rounds: int = 64):
         played.append((signals, x_star))
         if len(played) >= 2 and signals_equal(signals, played[-2][0], tol=1e-9):
             break
-        rule = optimal_receiver_rule(signals, spec.receiver, spec.noise)
+        rule = optimal_receiver_rule(signals, spec.noise, derived_quantities(spec))
     return played
 
 
@@ -849,7 +848,7 @@ def test_nash_reports_every_strict_fixed_point_of_best_response_rounds():
         x_top = math.sqrt(spec.power.p_avg / spec.transmitter.prior0)
         if not (signals_equal(signals, before, tol=1e-9) and 0.0 < x_star < x_top):
             continue
-        rule = optimal_receiver_rule(signals, spec.receiver, spec.noise)
+        rule = optimal_receiver_rule(signals, spec.noise, derived_quantities(spec))
         risk_t, _ = risk_pair(spec.transmitter, spec.receiver, signals, rule,
                               spec.noise)
         rep = solve(spec, Concept.NASH)

@@ -20,7 +20,6 @@ from sigeq import (
     SignalDesign,
     SpecError,
     best_response_dynamics,
-    best_response_receiver,
     best_response_transmitter,
     derived_quantities,
     optimal_receiver_rule,
@@ -35,7 +34,8 @@ from sigeq import (
     single_cost_perturbations,
     solve,
 )
-from conftest import demo_spec, random_scalar_spec, signals_equal, team_point_spec
+from conftest import (demo_spec, matched_rule, random_scalar_spec, signals_equal,
+                      team_point_spec)
 
 HONEST = ((0.0, 1.0), (1.0, 0.0))
 
@@ -99,15 +99,15 @@ def test_transmitter_best_response_is_grid_optimal():
 
 def test_receiver_best_response_examples():
     rx = AgentParams.from_prior0(0.5, HONEST)
-    rule = best_response_receiver(SignalDesign(-1.0, 1.0), rx, NoiseModel.scalar(1.0))
+    rule = matched_rule(SignalDesign(-1.0, 1.0), rx, NoiseModel.scalar(1.0))
     assert rule.kind is RuleKind.THRESHOLD and rule.a == 2.0 and rule.eta == 0.0
     rx_e = AgentParams.from_prior0(0.5, ((0.0, 1.0), (math.e, 0.0)))
-    rule = best_response_receiver(SignalDesign(1.0, -1.0), rx_e, NoiseModel.scalar(1.0))
+    rule = matched_rule(SignalDesign(1.0, -1.0), rx_e, NoiseModel.scalar(1.0))
     assert rule.a == -2.0 and rule.eta == 1.0
+    # a receiver with no miss margin has no finite tau: it always decides H0
     degenerate = AgentParams.from_prior0(0.5, ((0.0, 1.0), (1.0, 1.0)))
-    with pytest.raises(SpecError):
-        best_response_receiver(SignalDesign(-1.0, 1.0), degenerate,
-                               NoiseModel.scalar(1.0))
+    rule = matched_rule(SignalDesign(-1.0, 1.0), degenerate, NoiseModel.scalar(1.0))
+    assert rule.kind is RuleKind.ALWAYS_H0
 
 
 def test_receiver_best_response_rejects_an_underflowing_threshold_ratio():
@@ -118,11 +118,9 @@ def test_receiver_best_response_rejects_an_underflowing_threshold_ratio():
     assert receiver_case(rx) is RuleKind.THRESHOLD
     tau = derived_quantities(spec).tau
     assert tau.value == 0.0 and not tau.is_finite
-    with pytest.raises(SpecError,
-                       match="^tau: receiver best response needs a finite threshold ratio$"):
-        best_response_receiver(SignalDesign(-1.0, 1.0), rx, spec.noise)
     with pytest.raises(SpecError, match="^tau: the matched rule needs a finite"):
-        optimal_receiver_rule(SignalDesign(-1.0, 1.0), rx, spec.noise)
+        optimal_receiver_rule(SignalDesign(-1.0, 1.0), spec.noise,
+                              derived_quantities(spec))
     for concept in Concept:
         with pytest.raises(SpecError, match="^tau: finite threshold games have no degenerate"):
             solve(spec, concept)
@@ -196,7 +194,7 @@ def test_informative_reports_satisfy_mutual_best_response():
         if not rep.informative:
             continue
         tx_again = best_response_transmitter(rep.rule, spec.transmitter, spec.power)
-        rx_again = best_response_receiver(rep.signals, spec.receiver, spec.noise)
+        rx_again = optimal_receiver_rule(rep.signals, spec.noise, derived_quantities(spec))
         assert signals_equal(tx_again, rep.signals)
         assert rules_equal(rx_again, rep.rule)
         found += 1
@@ -208,8 +206,7 @@ def test_babbling_point_is_universal():
     for _ in range(100):
         spec = random_scalar_spec(rng)
         dq = derived_quantities(spec)
-        rule = optimal_receiver_rule(SignalDesign(0.0, 0.0), spec.receiver,
-                                     spec.noise)
+        rule = optimal_receiver_rule(SignalDesign(0.0, 0.0), spec.noise, dq)
         assert rule.kind is not RuleKind.THRESHOLD
         # transmitter risk is flat in the signals under a fixed-decision rule
         risks = {risk_pair(spec.transmitter, spec.receiver,

@@ -1,4 +1,4 @@
-"""Leader-follower solver: six-case classification, endpoint rule, the
+"""Leader-follower solver: six-case classification, endpoint comparison, the
 robustness scan."""
 
 import math
@@ -10,7 +10,7 @@ from sigeq import (
     AgentParams,
     AveragePower,
     Concept,
-    EndpointChoice,
+    DerivedQuantities,
     Existence,
     GameSpec,
     MismatchedAgentsError,
@@ -21,10 +21,10 @@ from sigeq import (
     RuleKind,
     SignalDesign,
     SpecError,
+    Tau,
     classify_transmitter_preference,
     conditional_error_probs,
     derived_quantities,
-    endpoint_rule,
     optimal_receiver_rule,
     preset_biased_cost,
     preset_deception,
@@ -33,11 +33,11 @@ from sigeq import (
     risk_pair,
     robustness_scan,
     rules_equal,
-    separation_levels,
     single_cost_perturbations,
     solve,
 )
-from conftest import demo_spec, fragile_team_spec, signals_equal, team_point_spec
+from conftest import (demo_spec, fragile_team_spec, grid_search_transmitter,
+                      random_scalar_spec, signals_equal, team_point_spec)
 
 D_STAR_DEMO = 0.47041885791917976
 
@@ -54,16 +54,25 @@ def spec_with_weights(k0, k1, tau, d_max):
     return GameSpec(tx, rx, NoiseModel.scalar(1.0), PeakPower(p, p))
 
 
+def record(k0, k1, tau, d_max):
+    """A derived record with the given (k0, k1, tau, d_max) and zeta = +1;
+    ln tau as ``derived_quantities`` takes it, NaN for a tau <= 0."""
+    log_tau = math.log(tau) if tau > 0.0 else math.nan
+    return DerivedQuantities(Tau(tau), 1, k0, k1, d_max, log_tau, RuleKind.THRESHOLD,
+                             (1, 1))
+
+
 def endpoint_risks(spec):
-    """Transmitter risk at d = 0 (prior-only rule) and at d = d_max."""
+    """Transmitter risk at d = 0 (prior-only rule) and at d = d_max, for the
+    equal budgets of ``spec_with_weights``."""
     dq = derived_quantities(spec)
     idle = SignalDesign(0.0, 0.0)
     rule0 = prior_only_rule(dq.tau.finite_value(), dq.zeta)
     at_zero = risk_pair(spec.transmitter, spec.receiver, idle, rule0, spec.noise)[0]
-    s0, s1 = separation_levels(dq.zeta, spec.power.p0, spec.power.p1, dq.d_max,
-                               spec.noise.sigma)
-    full = SignalDesign(s0, s1)
-    rule1 = optimal_receiver_rule(full, spec.receiver, spec.noise)
+    # the solve's levels at d_max: with equal budgets the first one is not shifted
+    u0 = -math.sqrt(spec.power.p0)
+    full = SignalDesign(dq.zeta * u0, dq.zeta * (u0 + dq.d_max * spec.noise.sigma))
+    rule1 = optimal_receiver_rule(full, spec.noise, dq)
     at_max = risk_pair(spec.transmitter, spec.receiver, full, rule1, spec.noise)[0]
     return at_zero, at_max
 
@@ -97,8 +106,8 @@ def test_interior_optimum_is_stationary():
 
 def test_rule_is_follower_best_response():
     rep = solve(demo_spec(), Concept.STACKELBERG)
-    want = optimal_receiver_rule(rep.signals, demo_spec().receiver,
-                                 demo_spec().noise)
+    want = optimal_receiver_rule(rep.signals, demo_spec().noise,
+                                 derived_quantities(demo_spec()))
     assert rules_equal(rep.rule, want)
 
 
@@ -119,27 +128,22 @@ def test_identical_params_recover_team_behavior():
 
 def test_classification_cells():
     # bend < 0, slope >= 0: full separation
-    assert classify_transmitter_preference(0.3, 0.1, 0.5, 4.0).case_label == "case-1"
-    assert classify_transmitter_preference(0.3, 0.1, 0.5, 4.0).d_star == 4.0
+    assert classify_transmitter_preference(record(0.3, 0.1, 0.5, 4.0)) == ("case-1", 4.0)
     # bend < 0, slope < 0, budget below the stationary point
-    pref = classify_transmitter_preference(0.1, -0.3, 0.5, 0.5)
-    assert pref.case_label == "case-2" and pref.d_star == 0.5
+    assert classify_transmitter_preference(record(0.1, -0.3, 0.5, 0.5)) == ("case-2", 0.5)
     # interior stationary point
-    pref = classify_transmitter_preference(0.1, -0.3, 0.5, 10.0)
+    label, d_star = classify_transmitter_preference(record(0.1, -0.3, 0.5, 10.0))
     want = math.sqrt(abs(2.0 * math.log(0.5) * 0.4 / (-0.2)))
-    assert pref.case_label == "case-3" and abs(pref.d_star - want) <= 1e-15
+    assert label == "case-3" and abs(d_star - want) <= 1e-15
     # bend >= 0, slope < 0: babbling
-    pref = classify_transmitter_preference(-0.3, 0.1, 0.5, 4.0)
-    assert pref.case_label == "case-4" and pref.d_star == 0.0
+    assert classify_transmitter_preference(record(-0.3, 0.1, 0.5, 4.0)) == ("case-4", 0.0)
     # bend >= 0, slope >= 0, budget below the crossover
-    pref = classify_transmitter_preference(0.3, 0.05, 2.0, 0.2)
-    assert pref.case_label == "case-5" and pref.d_star == 0.0
+    assert classify_transmitter_preference(record(0.3, 0.05, 2.0, 0.2)) == ("case-5", 0.0)
     # bend >= 0, slope >= 0, endpoint comparison decides
-    pref = classify_transmitter_preference(0.3, 0.05, 2.0, 6.0)
-    assert pref.case_label == "case-6"
+    label, _ = classify_transmitter_preference(record(0.3, 0.05, 2.0, 6.0))
+    assert label == "case-6"
     # both tail weights zero: risk constant in d
-    pref = classify_transmitter_preference(0.0, 0.0, 2.0, 6.0)
-    assert pref.case_label == "flat" and pref.d_star == 0.0
+    assert classify_transmitter_preference(record(0.0, 0.0, 2.0, 6.0)) == ("flat", 0.0)
 
 
 def test_case3_matches_its_own_formula():
@@ -150,52 +154,48 @@ def test_case3_matches_its_own_formula():
 
 
 def test_classification_agrees_with_grid_on_random_specs():
-    from sigeq.oracle import grid_search_transmitter
     rng = np.random.default_rng(29)
-    from conftest import random_scalar_spec
     for _ in range(100):
         spec = random_scalar_spec(rng)
         rep = solve(spec, Concept.STACKELBERG)
-        _, risk_best = grid_search_transmitter(spec, Concept.STACKELBERG, 2001)
+        _, risk_best = grid_search_transmitter(spec, 2001)
         assert rep.risk_t <= risk_best + 1e-9
 
 
 # ---------------------------------------------------------------------------
-# endpoint comparison
+# endpoint comparison (case-6)
 
 
 def test_endpoint_rule_tau_one_prefers_separation():
-    assert endpoint_rule(0.2, 0.2, 1.0, 3.0) is EndpointChoice.MAX_SEPARATION
+    assert classify_transmitter_preference(record(0.2, 0.2, 1.0, 3.0)) == ("case-6", 3.0)
 
 
 def test_endpoint_rule_vanishing_first_term():
-    assert endpoint_rule(0.3, 0.0, 2.0, 3.0) is EndpointChoice.BABBLING
+    assert classify_transmitter_preference(record(0.3, 0.0, 2.0, 3.0)) == ("case-6", 0.0)
 
 
 def test_endpoint_rule_preconditions():
-    with pytest.raises(SpecError):
-        endpoint_rule(0.2, 0.3, 2.0, 4.0)  # bend < 0: shape is not covered
-    with pytest.raises(SpecError):
-        endpoint_rule(-0.4, 0.1, 0.5, 4.0)  # slope < 0
-    with pytest.raises(SpecError):
-        endpoint_rule(0.0, 0.0, 2.0, 4.0)
-    with pytest.raises(SpecError):
-        endpoint_rule(0.2, 0.1, 0.0, 4.0)
-    with pytest.raises(SpecError):
-        endpoint_rule(0.2, 0.1, 2.0, 0.0)
+    # the comparison needs d_max > 0: here bend = 0 leads to it at d_max = 0
+    with pytest.raises(SpecError, match="^d_max: must be strictly positive$"):
+        classify_transmitter_preference(record(0.2, 0.2, 1.0, 0.0))
+    # and a finite ln tau: a tau that overflowed to inf, with no miss margin
+    # (k0 = 0, k1 = 0 * inf = NaN), fails every sign test and reaches it
+    overflowed = DerivedQuantities(Tau(math.inf), 1, 0.0, math.nan, 4.0, math.inf,
+                                   RuleKind.THRESHOLD, (1, 0))
+    with pytest.raises(SpecError, match="^tau: must be finite and strictly positive$"):
+        classify_transmitter_preference(overflowed)
 
 
 @pytest.mark.parametrize("tau", [0.0, -2.0, math.inf, math.nan])
 def test_tau_outside_the_open_half_line_is_rejected(tau):
-    # the three public primitives that take tau refuse the same values with
-    # the same error; tau = inf once gave classify a silent case-1
+    # the formulas that read ln tau refuse the values a tau outside (0, inf)
+    # leaves there with the same error: the error tails always, the endpoint
+    # comparison once the NaN sign tests route to it
     match = "^tau: must be finite and strictly positive$"
     with pytest.raises(SpecError, match=match):
-        classify_transmitter_preference(1.0, 2.0, tau, 1.0)
+        classify_transmitter_preference(record(0.2, 0.2, tau, 3.0))
     with pytest.raises(SpecError, match=match):
-        endpoint_rule(0.2, 0.2, tau, 3.0)
-    with pytest.raises(SpecError, match=match):
-        conditional_error_probs(1.0, tau, 1)
+        conditional_error_probs(1.0, record(0.2, 0.2, tau, 3.0).log_tau, 1)
 
 
 def test_endpoint_rule_example_draw_against_brute_force():
@@ -204,11 +204,14 @@ def test_endpoint_rule_example_draw_against_brute_force():
     dq = derived_quantities(spec)
     assert abs(dq.k0 - k0) <= 1e-15 and abs(dq.k1 - k1) <= 1e-15
     at_zero, at_max = endpoint_risks(spec)
-    choice = endpoint_rule(k0, k1, tau, d_max)
-    assert (choice is EndpointChoice.MAX_SEPARATION) == (at_max <= at_zero)
+    label, d_star = classify_transmitter_preference(record(k0, k1, tau, d_max))
+    assert label == "case-6" and (d_star == d_max) == (at_max <= at_zero)
 
 
 def test_endpoint_rule_sign_matches_brute_force_on_random_draws():
+    # increasing-then-decreasing risks: case-5 where the budget ends on the
+    # rise, else the endpoint comparison; d_max wins exactly where its risk
+    # is the lower one
     rng = np.random.default_rng(31)
     checked = 0
     while checked < 10_000:
@@ -224,9 +227,9 @@ def test_endpoint_rule_sign_matches_brute_force_on_random_draws():
         if abs(at_max - at_zero) <= 1e-13:
             # the risk route cannot resolve the sign this close to the tie
             continue
-        want = (EndpointChoice.MAX_SEPARATION if at_max < at_zero
-                else EndpointChoice.BABBLING)
-        assert endpoint_rule(k0, k1, tau, d_max) is want
+        label, d_star = classify_transmitter_preference(record(k0, k1, tau, d_max))
+        assert label in ("case-5", "case-6")
+        assert (d_star == d_max) == (at_max < at_zero)
         checked += 1
 
 

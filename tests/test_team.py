@@ -19,8 +19,7 @@ from sigeq import (
     rules_equal,
     solve,
 )
-from sigeq.oracle import grid_search_transmitter
-from conftest import demo_spec, random_identical_spec
+from conftest import demo_spec, grid_search_transmitter, random_identical_spec
 
 Q1 = 0.15865525393145707
 
@@ -85,8 +84,8 @@ def test_report_is_self_consistent_on_random_instances():
         spec = random_identical_spec(rng)
         rep = solve(spec, Concept.TEAM)
         assert rep.d_star == rep.d_max
-        assert rules_equal(
-            rep.rule, optimal_receiver_rule(rep.signals, spec.receiver, spec.noise))
+        rule = optimal_receiver_rule(rep.signals, spec.noise, derived_quantities(spec))
+        assert rules_equal(rep.rule, rule)
         risks = risk_pair(spec.transmitter, spec.receiver, rep.signals, rep.rule,
                           spec.noise)
         assert abs(risks[0] - rep.risk_t) <= 1e-12
@@ -103,8 +102,7 @@ def test_full_distance_beats_grid_alternatives():
         spec = random_identical_spec(rng)
         if derived_quantities(spec).d_max > 13.0:
             continue
-        d_best, risk_best = grid_search_transmitter(spec, Concept.STACKELBERG,
-                                                    grid_size=2001)
+        d_best, risk_best = grid_search_transmitter(spec, grid_size=2001)
         rep = solve(spec, Concept.TEAM)
         assert d_best == rep.d_max
         assert risk_best >= rep.risk_t - 1e-9

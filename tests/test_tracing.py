@@ -4,14 +4,18 @@
 the Monte Carlo internals it wraps by name, so a renamed or deleted module or
 internal breaks ``--trace 1``.  The tracer is loaded from its file, as the
 golden tests load their scripts, and one game per channel is solved under it.
+The solve pipeline calls its formulas by their public names, so their spans
+show under the tracer, once per solve that reaches them.
 """
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import sigeq
-from sigeq import Concept
-from conftest import fragile_team_spec
+from sigeq import Concept, preset_biased_cost
+from conftest import demo_spec, fragile_team_spec, team_point_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,3 +43,47 @@ def test_tracer_counts_one_solve_per_channel():
     assert sigeq.solve is original
     assert tracer.calls["init.solve"] == 3
     assert tracer.calls["detection.derived_quantities"] == 3
+
+
+# (game, concept, spans expected once): the leader's chooser on
+# leader-follower play; the error tails under every informative report but
+# average-power Nash, which scores its pair by the rule; the receiver's best
+# response wherever the pair is placed on a scalar channel (a vector pair
+# lifts its rule)
+FORMULA_SPANS = {
+    "scalar-stackelberg": (demo_spec, Concept.STACKELBERG,
+                           {"stackelberg.classify_transmitter_preference",
+                            "equilibrium.informative_risks",
+                            "detection.conditional_error_probs",
+                            "detection.optimal_receiver_rule"}),
+    "scalar-team": (team_point_spec, Concept.TEAM,
+                    {"equilibrium.informative_risks", "detection.conditional_error_probs",
+                     "detection.optimal_receiver_rule"}),
+    "scalar-nash": (lambda: preset_biased_cost(0.9), Concept.NASH,
+                    {"equilibrium.informative_risks", "detection.conditional_error_probs",
+                     "detection.optimal_receiver_rule"}),
+    "vector-team": (lambda: fragile_team_spec("vector"), Concept.TEAM,
+                    {"equilibrium.informative_risks", "detection.conditional_error_probs"}),
+    "avg-stackelberg": (lambda: fragile_team_spec("avg"), Concept.STACKELBERG,
+                        {"stackelberg.classify_transmitter_preference",
+                         "equilibrium.informative_risks",
+                         "detection.conditional_error_probs",
+                         "detection.optimal_receiver_rule"}),
+    "avg-nash": (lambda: fragile_team_spec("avg"), Concept.NASH,
+                 {"detection.optimal_receiver_rule", "avgpower.nash_avg_best_response"}),
+}
+FORMULAS = set().union(*(spans for _, _, spans in FORMULA_SPANS.values()))
+
+
+@pytest.mark.parametrize("case", list(FORMULA_SPANS))
+def test_tracer_sees_the_formulas_the_solve_calls(case):
+    build, concept, spans = FORMULA_SPANS[case]
+    spec = build()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.active = True
+        report = sigeq.solve(spec, concept)
+        tracer.active = False
+    assert report.informative
+    assert {name: tracer.calls[name] for name in FORMULAS} == {
+        name: int(name in spans) for name in FORMULAS}

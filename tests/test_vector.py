@@ -26,6 +26,7 @@ from conftest import (
     DEMO_RX,
     DEMO_TX,
     demo_spec,
+    matched_rule,
     random_scalar_spec,
     random_spd_matrix,
     random_vector_spec,
@@ -250,7 +251,7 @@ def test_vector_interior_separation_matches_reported_distance():
         assert abs(d - rep.d_star) <= 1e-9
         assert rules_equal(
             rep.rule,
-            optimal_receiver_rule(rep.signals, spec.receiver, spec.noise),
+            optimal_receiver_rule(rep.signals, spec.noise, derived_quantities(spec)),
             1e-9)
         found += 1
 
@@ -327,7 +328,7 @@ def test_a_covariance_singular_to_working_precision_raises_spec_errors():
     agent = AgentParams.from_prior0(0.5, ((0.0, 1.0), (1.0, 0.0)))
     pair = SignalDesign([-1.0, 0.0], [1.0, 0.0])
     with pytest.raises(SpecError, match="^noise.covariance: singular"):
-        optimal_receiver_rule(pair, agent, noise)
+        matched_rule(pair, agent, noise)
     with pytest.raises(SpecError, match="^noise.covariance: not positive definite"):
         mc_estimate(pair, ReceiverRule.threshold([1.0, 0.0], 0.0), noise,
                     (agent, agent), 10_000, 0)
