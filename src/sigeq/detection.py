@@ -69,6 +69,7 @@ _PRIOR_TOL = 1e-12
 _SYMMETRY_TOL = 1e-12
 _POWER_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
+_FLOAT_MIN = 2.0 ** -1022  # the smallest normal double
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -438,7 +439,18 @@ class ReceiverRule:
         if isinstance(self.a, np.ndarray):
             # the 2-norm as np.linalg.norm computes it
             flat = self.a.ravel()
-            return math.sqrt(float(flat.dot(flat)))
+            squares = float(flat.dot(flat))
+            if squares < _FLOAT_MIN or squares == math.inf:
+                # the squares under- or overflowed: when the entries are
+                # finite and not all zero, scale them exactly by the power of
+                # two just above the largest, and scale the norm back (a norm
+                # past the largest double stays inf)
+                largest = float(np.max(np.abs(flat)))
+                if 0.0 < largest < math.inf:
+                    exp = math.frexp(largest)[1]
+                    scaled = np.ldexp(flat, -exp)
+                    return float(np.ldexp(math.sqrt(float(scaled.dot(scaled))), exp))
+            return math.sqrt(squares)
         return abs(self.a)
 
     @classmethod

@@ -16,13 +16,20 @@ generator's raw 64-bit words against the rule's boundary mapped to integer
 word bounds (the uniform of word w is (w >> 11) * 2**-53, so each bound is
 exact), and a vector chunk whose boundary lies beyond the sampler's reach is
 not drawn at all (see ``_count_h1_scalar`` and ``_count_h1_vector``).
+
+The solvers are closed forms over ``math.erfc``; only this Monte Carlo draw
+needs scipy, and from it only ``ndtr`` and ``ndtri``.  Loading
+``scipy.special`` costs more time and memory than the rest of ``import
+sigeq`` together, so ``ndtri`` and ``_ndtr`` import it at their first call:
+importing the package and ``sigeq solve``, ``sweep`` and ``dynamics`` never
+load scipy.  ``ndtri`` stays a module-level function that the code below
+calls through the module namespace, so a caller can swap it for a wrapper.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .detection import (
     AgentParams,
@@ -67,6 +74,18 @@ class McEstimate:
     risk_r_stderr: float
     n_samples: int
     seed: int
+
+
+def ndtri(u):
+    """scipy's standard normal inverse CDF, loaded on the first call."""
+    from scipy.special import ndtri
+    return ndtri(u)
+
+
+def _ndtr(x):
+    """scipy's standard normal CDF, loaded on the first call."""
+    from scipy.special import ndtr
+    return ndtr(x)
 
 
 def _chunk_words(seed: int, hyp: int, chunk: int, size: int) -> np.ndarray:
@@ -141,8 +160,8 @@ def _count_h1_scalar(seed: int, hyp: int, chunk: int, size: int, signal: float,
             return size if a > 0 else 0
         if t - delta >= _Z_REACH:
             return 0 if a > 0 else size
-        lo = float(ndtr(t - delta)) - _U_PAD
-        hi = float(ndtr(t + delta)) + _U_PAD
+        lo = float(_ndtr(t - delta)) - _U_PAD
+        hi = float(_ndtr(t + delta)) + _U_PAD
         k_lo = math.ceil(lo * _LATTICE) if lo > _U_MIN else 0
         k_hi = math.floor(hi * _LATTICE) + 1
     else:

@@ -8,6 +8,8 @@ draws where the margin signs disagree.
 
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +35,19 @@ from sigeq.detection import _num_close
 
 # pytest puts src on sys.path (pyproject's pythonpath); the CLI and script
 # tests run child interpreters, which find the package through PYTHONPATH
-_SRC = str(Path(__file__).resolve().parent.parent / "src")
+_ROOT = Path(__file__).resolve().parent.parent
+_SRC = str(_ROOT / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run with ``args`` in a new interpreter,
+    which has loaded nothing the suite has; a failure shows its stderr."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=_ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def signals_equal(lhs: SignalDesign, rhs: SignalDesign, tol: float = 0.0) -> bool:

@@ -397,6 +397,33 @@ def test_receiver_rule_validation():
     assert np.allclose(norm_rule.a, [0.6, 0.8]) and norm_rule.eta == 2.0
 
 
+def test_rule_direction_norm_survives_underflowing_and_overflowing_squares():
+    # the squares of these entries underflow to 0 or overflow to inf
+    tiny = ReceiverRule.threshold(np.array([1e-200, 0.0]), 1.0)
+    assert tiny._direction_norm() == 1e-200
+    assert np.array_equal(tiny.normalized().a, [1.0, 0.0])
+    assert tiny.normalized().eta == 1e200
+    with np.errstate(over="ignore"):
+        huge = ReceiverRule.threshold(np.array([1e200, 0.0]), 1.0).normalized()
+    assert np.array_equal(huge.a, [1.0, 0.0]) and huge.eta == 1e-200
+    # scaling by a power of two is exact: the rescaled 3-4-5 rule keeps its bits
+    moderate = ReceiverRule.threshold(np.array([3.0, 4.0]), 10.0).normalized()
+    for k in (-600, -540, 540, 600):
+        with np.errstate(over="ignore"):
+            rule = ReceiverRule.threshold(np.ldexp([3.0, 4.0], k), math.ldexp(10.0, k))
+            norm, scaled = rule._direction_norm(), rule.normalized()
+        assert norm == math.ldexp(5.0, k)
+        assert np.array_equal(scaled.a, moderate.a) and scaled.eta == moderate.eta
+    assert ReceiverRule.threshold(np.array([5e-324, 0.0]), 0.0)._direction_norm() == 5e-324
+    with np.errstate(over="ignore"):
+        # finite entries whose norm is past the largest double
+        assert ReceiverRule.threshold(np.array([1.5e308, 1.5e308]),
+                                      0.0)._direction_norm() == math.inf
+    for bad in ([0.0, 0.0], [math.inf, 1.0], [math.nan, 1.0]):
+        with pytest.raises(SpecError):
+            ReceiverRule.threshold(np.array(bad), 1.0)
+
+
 def test_optimal_rule_antipodal_symmetric():
     rx = AgentParams.from_prior0(0.5, ((0.0, 1.0), (1.0, 0.0)))
     rule = matched_rule(SignalDesign(-1.0, 1.0), rx, NoiseModel.scalar(1.0))

@@ -3,8 +3,10 @@
 Imports between ``sigeq``'s modules run one way: ``detection`` at the bottom,
 the choosers and realizers above it, ``equilibrium`` (the one module that
 builds reports) above them, and drivers such as the robustness scan on top.
-Every import sits at the top of its module.  The public names of ``sigeq``
-are pinned, so a deleted name cannot come back as a re-export unnoticed.
+Every import sits at the top of its module but one: ``oracle`` imports
+``scipy.special`` inside the functions that need it, so that only a Monte
+Carlo draw loads scipy.  The public names of ``sigeq`` are pinned, so a
+deleted name cannot come back as a re-export unnoticed.
 """
 
 import ast
@@ -80,6 +82,19 @@ def test_every_import_sits_at_the_top_of_its_module():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 assert seen_def is None, (
                     f"{name}.py:{node.lineno}: import after the definition of {seen_def}")
+
+
+def test_the_one_deferred_import_is_scipy_special_in_the_oracle():
+    deferred = set()
+    for name, tree in _modules().items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.ImportFrom):
+                        deferred.add((name, node.module))
+                    elif isinstance(node, ast.Import):
+                        deferred.update((name, alias.name) for alias in node.names)
+    assert deferred == {("oracle", "scipy.special")}
 
 
 def test_public_names_are_pinned():

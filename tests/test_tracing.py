@@ -15,7 +15,7 @@ import pytest
 
 import sigeq
 from sigeq import Concept, preset_biased_cost
-from conftest import demo_spec, fragile_team_spec, team_point_spec
+from conftest import demo_spec, fragile_team_spec, fresh_python, team_point_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -87,3 +87,40 @@ def test_tracer_sees_the_formulas_the_solve_calls(case):
     assert report.informative
     assert {name: tracer.calls[name] for name in FORMULAS} == {
         name: int(name in spans) for name in FORMULAS}
+
+
+# In a fresh interpreter the tracer is installed before scipy is loaded, and
+# the Monte Carlo draw loads it under the tracer: every call of the inverse
+# CDF goes through the tracer's wrapper, which is taken off on exit.
+FRESH_MC = """
+import importlib.util, sys
+
+import numpy as np
+
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+
+from sigeq import AgentParams, NoiseModel, ReceiverRule, SignalDesign, mc_estimate, oracle
+
+agent = AgentParams.from_prior0(0.5, ((0.0, 1.0), (1.0, 0.0)))
+original = oracle.ndtri
+tracer = tracing.Tracer()
+with tracer.installed():
+    assert "scipy" not in sys.modules
+    tracer.active = True
+    mc_estimate(SignalDesign(np.array([-1.0, 0.0]), np.array([1.0, 0.0])),
+                ReceiverRule.threshold(np.array([1.0, 0.0]), 0.0),
+                NoiseModel.matrix(np.eye(2)), (agent, agent), 20_000, 0)
+    tracer.active = False
+assert "scipy.special" in sys.modules
+assert oracle.ndtri is original
+print(tracer.calls["oracle._chunk_normals"], tracer.calls["oracle.ndtri"])
+"""
+
+
+def test_tracer_sees_the_inverse_cdf_the_first_draw_loads():
+    out = fresh_python(FRESH_MC, str(ROOT / "perfbench" / "tracing.py"))
+    chunk_normals, ndtri = map(int, out.split())
+    # one chunk per hypothesis, each through the wrapped inverse CDF
+    assert chunk_normals == ndtri == 2
