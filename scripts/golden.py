@@ -1,30 +1,35 @@
 #!/usr/bin/env python3
-"""Write the golden record of the solvers.
+"""Write the golden records of the solvers and of ``sigeq verify``.
 
-The record holds three kinds of entries, all text:
+``tests/data/solve_golden.txt`` holds, as text:
 
-* ``sigeq solve`` on every shipped config under every concept (5 x 3): the
-  command line, everything it prints (stdout and stderr) and its exit code;
-* ``sigeq sweep`` over the nine sweeps of the benchmark's ``sweep_cli``
-  workload, at fixed ranges, ``--param d`` included;
-* random games, one JSON line each: the game and its outcome under every
-  concept, every float stored as its ``repr``.  They cover every channel
-  (scalar peak power; vector peak power in dimensions 1, 2, 3, 4 and 8;
-  scalar average power) x identical/mismatched agents x finite/degenerate
-  tau x continuous/discrete draws.  Discrete draws take costs from
-  {0, 0.5, 1}, priors from {0.25, 0.5, 0.75} and power budgets from
-  {0.5, 1, 2}: continuous draws never zero a cost margin, tie the budgets
-  or give tau = 1, so they never reach the ``flat`` or ``xi(0,.)`` labels or
-  a mixed-sign Nash game with zero consistency (``p0=p1``).  A last game
-  pins a receiver whose threshold ratio underflows to zero.
+* ``sigeq solve`` on every shipped config under every concept, and
+  ``sigeq sweep`` over the nine sweeps of the benchmark's ``sweep_cli``
+  workload at fixed ranges: each run as its command line, everything it
+  prints (stdout and stderr) and its exit code;
+* random games, one JSON line each: the cell, the game and its outcome under
+  every concept, every float stored as its ``repr``.  They cover every
+  channel (scalar peak power; vector peak power in dimensions 1, 2, 3, 4
+  and 8; scalar average power) x identical/mismatched agents x
+  finite/degenerate tau x continuous/discrete draws.  Discrete draws take
+  costs from {0, 0.5, 1}, priors from {0.25, 0.5, 0.75} and budgets from
+  {0.5, 1, 2}, and so reach the ``flat``, ``xi(0,.)`` and ``p0=p1`` labels
+  that continuous draws never do.  Then a receiver whose threshold ratio
+  underflows to zero, and 40 mismatched finite-tau average-power games
+  (``"draws": "probe"``) that also hold a random threshold rule and the
+  transmitter's best response to it, which nothing else pins.
 
-``tests/test_solve_golden.py`` replays every entry through ``sigeq.solve``
-and requires byte equality.
+``tests/data/verify_golden.txt`` holds ``sigeq verify`` runs at 1e6 samples
+on every valid config x concept pair under three seeds, then again with an
+``--eta-offset`` that brings every threshold boundary within reach of the
+sampler, so the tallies of ``team_point`` and ``vector`` are non-trivial.
 
-The record should only be regenerated on purpose, by a change that is meant
-to alter what a solver reports.
+``tests/test_solve_golden.py`` and ``tests/test_verify_golden.py`` replay
+them byte for byte.  Regenerate them
+only by a change meant to alter what a solver or the Monte Carlo estimator
+reports; ``git diff`` then shows what moved.
 
-Usage: python3 scripts/solve_golden.py [-o tests/data/solve_golden.txt]
+Usage: python3 scripts/golden.py
 """
 
 import argparse
@@ -35,7 +40,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
@@ -48,12 +53,16 @@ from sigeq import (  # noqa: E402
     GameSpec,
     NoiseModel,
     PeakPower,
+    ReceiverRule,
     SpecError,
     cli,
     derived_quantities,
+    nash_avg_best_response,
 )
+from conftest import random_agent, random_avg_spec, random_spd_matrix  # noqa: E402
 
-DEFAULT_OUT = ROOT / "tests" / "data" / "solve_golden.txt"
+SOLVE_GOLDEN = ROOT / "tests" / "data" / "solve_golden.txt"
+VERIFY_GOLDEN = ROOT / "tests" / "data" / "verify_golden.txt"
 SEED = 20190611
 CONFIGS = ("avg_symmetric", "biased", "demo", "team_point", "vector")
 CONCEPTS = tuple(c.value for c in Concept)
@@ -67,23 +76,41 @@ SWEEPS = (
     ("team_point", "eps10", "-0.35", "0.35", ("stackelberg", "nash")),
     ("demo", "d", "0", "20", ("stackelberg",)),
 )
+VERIFY_SEEDS = (0, 101, 20190611)
+VERIFY_PAIRS = (
+    ("demo", "stackelberg"), ("demo", "nash"),
+    ("biased", "stackelberg"), ("biased", "nash"),
+    ("avg_symmetric", "team"), ("avg_symmetric", "stackelberg"),
+    ("avg_symmetric", "nash"),
+    ("team_point", "team"), ("team_point", "stackelberg"),
+    ("team_point", "nash"),
+    ("vector", "team"), ("vector", "stackelberg"), ("vector", "nash"),
+)
+# Shift of eta per config, in units of a . y.  demo's Nash rule is degenerate
+# and takes no offset.  team_point's boundary sits ~29 sigma below both
+# signals and vector's ~10 sigma between them; these offsets move them to
+# ~3.6 sigma (team_point) and ~2.4 sigma from s0 (vector).
+ETA_OFFSETS = {"demo": "0.002", "biased": "1.0", "avg_symmetric": "1.0",
+               "team_point": "1500", "vector": "-150"}
+DEGENERATE = {("demo", "nash")}
 CHANNELS = ("scalar", "vector", "avg")
 VECTOR_DIMS = (1, 2, 3, 4, 8)
 # games per cell; mismatched finite-tau games with discrete draws reach the
 # most labels, the rarest (a mixed-sign Nash game with p0 = p1) in ~3% of them
 GAMES_PER_CELL = 10
 GAMES_PER_RICH_CELL = 80
+PROBE_GAMES = 40
 DISCRETE_COSTS = (0.0, 0.5, 1.0)
 DISCRETE_PRIORS = (0.25, 0.5, 0.75)
 DISCRETE_POWERS = (0.5, 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
-# command-line entries
+# command entries
 
 
-def cli_runs() -> list[tuple[str, ...]]:
-    """Every recorded command line, in file order."""
+def solve_runs() -> list[tuple[str, ...]]:
+    """Every command line of the solve record, in file order."""
     out = [("solve", "--config", f"configs/{cfg}.json", "--concept", concept)
            for cfg in CONFIGS for concept in CONCEPTS]
     for cfg, param, lo, hi, concepts in SWEEPS:
@@ -94,6 +121,22 @@ def cli_runs() -> list[tuple[str, ...]]:
     return out
 
 
+def verify_runs() -> list[tuple[str, ...]]:
+    """Every command line of the verify record, in file order."""
+    out = []
+    for seed in VERIFY_SEEDS:
+        for cfg, concept in VERIFY_PAIRS:
+            out.append(("verify", "--config", f"configs/{cfg}.json",
+                        "--concept", concept, "--seed", str(seed)))
+    for seed in VERIFY_SEEDS:
+        for cfg, concept in VERIFY_PAIRS:
+            if (cfg, concept) not in DEGENERATE:
+                out.append(("verify", "--config", f"configs/{cfg}.json",
+                            "--concept", concept, "--seed", str(seed),
+                            "--eta-offset", ETA_OFFSETS[cfg]))
+    return out
+
+
 def render_cli(argv: tuple[str, ...]) -> str:
     """One entry: the command line, the printed lines and the exit code."""
     resolved = [str(ROOT / a) if a.startswith("configs/") else a for a in argv]
@@ -101,6 +144,15 @@ def render_cli(argv: tuple[str, ...]) -> str:
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
         rc = cli.main(resolved)
     return f"$ sigeq {' '.join(argv)}\n{buf.getvalue()}exit {rc}\n"
+
+
+def read_record(path: Path) -> tuple[list[str], list[str]]:
+    """A record's command entries, each starting with its "$ sigeq ..." line,
+    and its game lines: single JSON lines after the command entries."""
+    text = path.read_text()
+    games = [line for line in text.splitlines(keepends=True) if line.startswith("{")]
+    runs = ["$ " + r for r in text[:len(text) - len("".join(games))].split("$ ")[1:]]
+    return runs, games
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +171,7 @@ def _agent_record(agent: AgentParams) -> dict:
 
 
 def spec_record(spec: GameSpec) -> dict:
+    """A game in the form ``cli.spec_from_config`` reads back."""
     noise = spec.noise
     power = spec.power
     return {
@@ -132,28 +185,8 @@ def spec_record(spec: GameSpec) -> dict:
     }
 
 
-def _agent_from(rec: dict) -> AgentParams:
-    costs = tuple(tuple(float(c) for c in row) for row in rec["costs"])
-    return AgentParams(float(rec["prior0"]), float(rec["prior1"]), costs)
-
-
-def _to_floats(x):
-    if isinstance(x, list):
-        return [_to_floats(v) for v in x]
-    return float(x)
-
-
-def spec_from(rec: dict) -> GameSpec:
-    noise = rec["noise"]
-    power = rec["power"]
-    return GameSpec(
-        _agent_from(rec["transmitter"]), _agent_from(rec["receiver"]),
-        (NoiseModel.scalar(float(noise["sigma"])) if "sigma" in noise
-         else NoiseModel.matrix(np.array(_to_floats(noise["covariance"])))),
-        (AveragePower(float(power["p_avg"])) if "p_avg" in power
-         else PeakPower(float(power["p0"]), float(power["p1"]))),
-        rec["dimension"],
-    )
+def rule_record(rule: ReceiverRule) -> list:
+    return [rule.kind.value, _floats(rule.a), _floats(rule.eta)]
 
 
 def report_record(rep: EquilibriumReport) -> dict:
@@ -164,7 +197,7 @@ def report_record(rep: EquilibriumReport) -> dict:
             "d_star": _floats(rep.d_star),
             "d_max": _floats(rep.d_max),
             "signals": [_floats(rep.signals.s0), _floats(rep.signals.s1)],
-            "rule": [rep.rule.kind.value, _floats(rep.rule.a), _floats(rep.rule.eta)],
+            "rule": rule_record(rep.rule),
             "risk_t": _floats(rep.risk_t),
             "risk_r": _floats(rep.risk_r)}
 
@@ -177,22 +210,26 @@ def outcome_record(spec: GameSpec, concept: Concept) -> dict:
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def render_game(cell: dict, spec: GameSpec) -> str:
-    """One game as one JSON line: its cell, the spec and its outcome under
-    every concept."""
+def render_game(cell: dict, spec: GameSpec, probe: ReceiverRule | None = None) -> str:
+    """One game as one JSON line: its cell, the spec, its outcome under every
+    concept and, given a probe rule, the transmitter's best response to it."""
     record = dict(cell, spec=spec_record(spec))
     for concept in Concept:
         record[concept.value] = outcome_record(spec, concept)
+    if probe is not None:
+        signals, x_star = nash_avg_best_response(probe, spec.transmitter,
+                                                 spec.power.p_avg, spec.noise)
+        record["probe_rule"] = rule_record(probe)
+        record["best_response"] = {"signals": [_floats(signals.s0), _floats(signals.s1)],
+                                   "x_star": _floats(x_star)}
     return json.dumps(record) + "\n"
 
 
 def _agent(rng, discrete: bool) -> AgentParams:
-    if discrete:
-        prior0 = float(rng.choice(DISCRETE_PRIORS))
-        c = rng.choice(DISCRETE_COSTS, size=4)
-    else:
-        prior0 = float(rng.uniform(0.05, 0.95))
-        c = rng.uniform(0.0, 2.0, size=4)
+    if not discrete:
+        return random_agent(rng)
+    prior0 = float(rng.choice(DISCRETE_PRIORS))
+    c = rng.choice(DISCRETE_COSTS, size=4)
     return AgentParams.from_prior0(
         prior0, ((float(c[0]), float(c[1])), (float(c[2]), float(c[3]))))
 
@@ -203,19 +240,13 @@ def _budget(rng, discrete: bool) -> float:
     return float(rng.uniform(0.25, 4.0))
 
 
-def _spd(rng, n: int) -> np.ndarray:
-    a = rng.normal(size=(n, n))
-    m = a @ a.T + n * np.eye(n)
-    return 0.5 * (m + m.T)
-
-
 def _draw(rng, channel: str, dim: int, identical: bool, finite_tau: bool,
           discrete: bool) -> GameSpec:
     while True:
         tx = _agent(rng, discrete)
         rx = tx if identical else _agent(rng, discrete)
         if channel == "vector":
-            noise = NoiseModel.matrix(_spd(rng, dim))
+            noise = NoiseModel.matrix(random_spd_matrix(rng, dim))
         else:
             noise = NoiseModel.scalar(float(rng.uniform(0.2, 2.0)))
         if channel == "avg":
@@ -233,8 +264,8 @@ def _underflow_game() -> GameSpec:
     return GameSpec(rx, rx, NoiseModel.scalar(1.0), PeakPower(1.0, 1.0))
 
 
-def games() -> list[tuple[dict, GameSpec]]:
-    """Every recorded game with its cell, in file order."""
+def games() -> list[tuple[dict, GameSpec, ReceiverRule | None]]:
+    """Every recorded game with its cell and probe rule, in file order."""
     rng = np.random.default_rng(SEED)
     out = []
     for channel in CHANNELS:
@@ -249,21 +280,28 @@ def games() -> list[tuple[dict, GameSpec]]:
                                 "agents": "identical" if identical else "mismatched",
                                 "tau": "finite" if finite_tau else "degenerate",
                                 "draws": "discrete" if discrete else "continuous"}
-                        out.append((cell, spec))
+                        out.append((cell, spec, None))
     out.append(({"channel": "scalar", "agents": "identical", "tau": "underflow",
-                 "draws": "fixed"}, _underflow_game()))
+                 "draws": "fixed"}, _underflow_game(), None))
+    probe_rng = np.random.default_rng(SEED)
+    for _ in range(PROBE_GAMES):
+        spec = random_avg_spec(probe_rng)
+        a = float(probe_rng.choice([-1.0, 1.0]) * probe_rng.uniform(0.2, 3.0))
+        probe = ReceiverRule.threshold(a, float(probe_rng.uniform(-1.0, 1.0)))
+        out.append(({"channel": "avg", "agents": "mismatched", "tau": "finite",
+                     "draws": "probe"}, spec, probe))
     return out
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("-o", "--out", type=Path, default=DEFAULT_OUT)
-    args = ap.parse_args()
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    runs = [render_cli(argv) for argv in cli_runs()]
-    lines = [render_game(cell, spec) for cell, spec in games()]
-    args.out.write_text("".join(runs) + "".join(lines))
-    print(f"wrote {len(runs)} command runs and {len(lines)} games to {args.out}")
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
+    runs = [render_cli(argv) for argv in solve_runs()]
+    lines = [render_game(*game) for game in games()]
+    SOLVE_GOLDEN.write_text("".join(runs + lines))
+    checks = [render_cli(argv) for argv in verify_runs()]
+    VERIFY_GOLDEN.write_text("".join(checks))
+    print(f"wrote {len(runs)} command runs and {len(lines)} games to {SOLVE_GOLDEN},"
+          f" {len(checks)} runs to {VERIFY_GOLDEN}")
     return 0
 
 

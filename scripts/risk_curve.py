@@ -4,7 +4,9 @@
 Produces the data behind the classic risk-versus-separation plot: for each
 normalized distance d on a uniform grid up to d_max, the receiver plays its
 matched rule and both Bayes risks are recorded.  The leader's optimum shows
-up as the minimum of the r_t column.
+up as the minimum of the r_t column.  A config the CLI rejects, fewer than
+one step, a receiver that ignores the channel or an output it cannot write
+exits 2 with one ``error:`` line, as the CLI does.
 
 Usage: python3 scripts/risk_curve.py configs/demo.json --steps 2000 -o curve.csv
 """
@@ -13,7 +15,7 @@ import argparse
 import sys
 
 from sigeq.cli import cmd_sweep, load_spec
-from sigeq import derived_quantities
+from sigeq import SpecError, derived_quantities
 
 
 def main() -> int:
@@ -23,16 +25,21 @@ def main() -> int:
     ap.add_argument("-o", "--out", default=None, help="CSV path (default stdout)")
     args = ap.parse_args()
 
-    dq = derived_quantities(load_spec(args.config))
-    if not dq.tau.is_finite:
-        print("error: the receiver ignores the channel; no curve", file=sys.stderr)
+    try:
+        dq = derived_quantities(load_spec(args.config))
+        if args.steps < 1:
+            raise SpecError("steps: must be at least 1")
+        if not dq.tau.is_finite:
+            raise SpecError("the receiver ignores the channel; no curve")
+        sweep_args = argparse.Namespace(
+            config=args.config, concept="stackelberg", param="d",
+            min=dq.d_max / args.steps, max=dq.d_max, steps=args.steps,
+            csv=args.out,
+        )
+        return cmd_sweep(sweep_args)
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    sweep_args = argparse.Namespace(
-        config=args.config, concept="stackelberg", param="d",
-        min=dq.d_max / args.steps, max=dq.d_max, steps=args.steps,
-        csv=args.out,
-    )
-    return cmd_sweep(sweep_args)
 
 
 if __name__ == "__main__":

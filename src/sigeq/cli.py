@@ -222,7 +222,10 @@ def _emit(lines: list[str], csv_path: str | None) -> None:
     if csv_path is None:
         sys.stdout.write(text)
     else:
-        Path(csv_path).write_text(text)
+        try:
+            Path(csv_path).write_text(text)
+        except OSError as exc:
+            raise SpecError(f"csv: {exc}") from exc
 
 
 def cmd_solve(args) -> int:

@@ -476,6 +476,12 @@ class ReceiverRule:
         if self.kind is not RuleKind.THRESHOLD:
             return self
         norm = self._direction_norm()
+        if norm == math.inf:
+            # finite entries whose norm overflows: scale the rule exactly by
+            # the power of two just above the largest entry, then normalize
+            exp = math.frexp(float(np.max(np.abs(self.a))))[1]
+            return ReceiverRule(RuleKind.THRESHOLD, np.ldexp(self.a, -exp),
+                                math.ldexp(self.eta, -exp)).normalized()
         return ReceiverRule(RuleKind.THRESHOLD, self.a / norm, self.eta / norm)
 
 

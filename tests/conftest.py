@@ -6,6 +6,7 @@ almost surely; generators that promise a finite threshold ratio reject the
 draws where the margin signs disagree.
 """
 
+import importlib.util
 import math
 import os
 import subprocess
@@ -39,6 +40,14 @@ _ROOT = Path(__file__).resolve().parent.parent
 _SRC = str(_ROOT / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+
+def load_script(name: str):
+    """The module of ``scripts/<name>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, _ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def fresh_python(code: str, *args: str) -> str:

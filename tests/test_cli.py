@@ -385,6 +385,20 @@ def test_missing_config_file_exits_two(tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--concept", "stackelberg"],
+    ["sweep", "--concept", "nash", "--param", "noise.sigma",
+     "--min", 0.5, "--max", 1, "--steps", 3],
+    ["dynamics"],
+], ids=["solve", "sweep", "dynamics"])
+def test_unwritable_csv_exits_two_naming_it(tmp_path, argv):
+    path = tmp_path / "missing" / "out.csv"
+    code, _, err = run_cli([*argv, "--config", CONFIGS / "demo.json", "--csv", path])
+    assert code == 2
+    assert err.startswith("error: csv: ") and str(path) in err
+    assert err.count("\n") == 1
+
+
 def test_usage_errors_exit_two():
     code, _, err = run_cli(["solve", "--config", CONFIGS / "demo.json"])
     assert code == 2

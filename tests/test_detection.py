@@ -424,6 +424,19 @@ def test_rule_direction_norm_survives_underflowing_and_overflowing_squares():
             ReceiverRule.threshold(np.array(bad), 1.0)
 
 
+def test_rule_normalizes_a_direction_whose_norm_overflows():
+    # finite entries whose norm is past the largest double
+    with np.errstate(over="ignore"):
+        rules = [ReceiverRule.threshold(np.array([1.5e308, s * 1.5e308]), eta).normalized()
+                 for s, eta in ((1.0, 1.0), (-1.0, 3e307))]
+    for rule, sign, eta in zip(rules, (1.0, -1.0), (1.0, 3e307)):
+        assert rule.a == pytest.approx([math.sqrt(0.5), sign * math.sqrt(0.5)], rel=1e-15)
+        assert rule._direction_norm() == pytest.approx(1.0, rel=1e-15)
+        assert rule.eta == pytest.approx(eta / 1.5e308 / math.sqrt(2.0), rel=1e-12)
+    moderate = ReceiverRule.threshold(np.array([3.0, 4.0]), 10.0).normalized()
+    assert np.array_equal(moderate.a, [0.6, 0.8]) and moderate.eta == 2.0
+
+
 def test_optimal_rule_antipodal_symmetric():
     rx = AgentParams.from_prior0(0.5, ((0.0, 1.0), (1.0, 0.0)))
     rule = matched_rule(SignalDesign(-1.0, 1.0), rx, NoiseModel.scalar(1.0))

@@ -4,11 +4,12 @@ Each script is loaded from its file, as the golden tests load theirs, and
 its ``main`` runs in process with ``sys.argv`` set to the command line.
 """
 
-import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import load_script
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -16,15 +17,8 @@ CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 TEAM_POINTS = {"avg_symmetric.json", "team_point.json", "vector.json"}
 
 
-def _load_script(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-risk_curve = _load_script("risk_curve")
-robustness_demo = _load_script("robustness_demo")
+risk_curve = load_script("risk_curve")
+robustness_demo = load_script("robustness_demo")
 
 
 def _run(monkeypatch, script, argv):
@@ -43,6 +37,18 @@ def test_risk_curve_writes_its_rows(monkeypatch, capsys, config):
     assert lines[0] == "param,value,d_star,risk_t,risk_r,case"
     assert len(lines) == 4
     assert all(line.startswith("d,") and line.endswith(",fixed") for line in lines[1:])
+
+
+@pytest.mark.parametrize("case", ["missing-config", "unwritable-output", "zero-steps"])
+def test_risk_curve_exits_two_with_one_error_line(monkeypatch, capsys, tmp_path, case):
+    demo = ROOT / "configs" / "demo.json"
+    argv = {"missing-config": [tmp_path / "game.json"],
+            "unwritable-output": [demo, "-o", tmp_path / "missing" / "curve.csv"],
+            "zero-steps": [demo, "--steps", 0]}[case]
+    assert _run(monkeypatch, risk_curve, argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)

@@ -1,41 +1,26 @@
-"""Golden record of the solvers: every recorded ``sigeq solve`` and
-``sigeq sweep`` run must print the recorded lines and exit with the recorded
-code, and every recorded game must re-solve to the recorded line, byte for
-byte, through ``sigeq.solve``.
+"""Golden record of the solvers: every recorded ``sigeq`` run must print the
+recorded lines and exit with the recorded code, and every recorded game must
+re-solve to the recorded line, byte for byte, through ``sigeq.solve`` (and
+``nash_avg_best_response`` for its probe rule).
 
-The record is written by ``scripts/solve_golden.py``; this test reuses its
-run list, parsers and renderers so the format is defined once.  A game that
-no longer matches fails with every differing leaf field listed, old value,
-new value and, for floats, their distance in ulps.
+The record is written by ``scripts/golden.py``; this test reuses its run
+list, game draws, renderers and record reader, and reads each recorded game
+back with the CLI's ``spec_from_config``, so the format is defined once.  A
+game that no longer matches fails with every differing leaf field listed, old
+value, new value and, for floats, their distance in ulps.
 """
 
-import importlib.util
 import json
 import struct
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = Path(__file__).resolve().parent / "data" / "solve_golden.txt"
+from sigeq import ReceiverRule, cli
+from conftest import load_script
 
-
-def _load_script():
-    spec = importlib.util.spec_from_file_location(
-        "solve_golden", ROOT / "scripts" / "solve_golden.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-golden = _load_script()
-RUNS = golden.cli_runs()
-TEXT = GOLDEN.read_text()
-LINES = TEXT.splitlines(keepends=True)
-# game entries are single JSON lines; the command runs come before them and
-# each starts with its "$ sigeq ..." command line
-GAMES = [line for line in LINES if line.startswith("{")]
-RECORDS = ["$ " + r for r in TEXT[:len(TEXT) - len("".join(GAMES))].split("$ ")[1:]]
+golden = load_script("golden")
+RUNS = golden.solve_runs()
+ENTRIES, GAMES = golden.read_record(golden.SOLVE_GOLDEN)
 CELL_KEYS = ("channel", "agents", "tau", "draws")
 
 _PLAIN_XI = [f"xi({a},{b})" for a in "+-0" for b in "+-0"]
@@ -58,14 +43,24 @@ EXPECTED_LABELS = {
 
 
 def test_record_holds_every_run_in_order():
-    assert "".join(RECORDS) + "".join(GAMES) == TEXT
-    assert [r.splitlines()[0] for r in RECORDS] == [
+    assert "".join(ENTRIES + GAMES) == golden.SOLVE_GOLDEN.read_text()
+    assert [r.splitlines()[0] for r in ENTRIES] == [
         f"$ sigeq {' '.join(argv)}" for argv in RUNS]
 
 
 @pytest.mark.parametrize("index", range(len(RUNS)))
 def test_command_matches_golden_bytes(index):
-    assert golden.render_cli(RUNS[index]) == RECORDS[index]
+    assert golden.render_cli(RUNS[index]) == ENTRIES[index]
+
+
+def test_games_are_redrawn_in_file_order():
+    records = [json.loads(line) for line in GAMES]
+    drawn = golden.games()
+    assert [(cell, golden.spec_record(spec),
+             None if probe is None else golden.rule_record(probe))
+            for cell, spec, probe in drawn] == [
+        ({key: r[key] for key in CELL_KEYS}, r["spec"], r.get("probe_rule"))
+        for r in records]
 
 
 def _ordinal(x: float) -> int:
@@ -118,10 +113,14 @@ def test_leaf_diffs_name_each_changed_field_with_its_ulps():
 def test_game_matches_golden_bytes(index):
     line = GAMES[index]
     record = json.loads(line)
-    spec = golden.spec_from(record["spec"])
+    # the recorded spec round-trips through the CLI's config reader
+    spec = cli.spec_from_config(record["spec"])
     assert golden.spec_record(spec) == record["spec"]
     cell = {key: record[key] for key in CELL_KEYS}
-    got = golden.render_game(cell, spec)
+    probe = record.get("probe_rule")
+    if probe is not None:
+        probe = ReceiverRule.threshold(float(probe[1]), float(probe[2]))
+    got = golden.render_game(cell, spec, probe)
     assert got == line, "\n".join(
         ["the game no longer matches its record:",
          *leaf_diffs(record, json.loads(got))])
