@@ -246,12 +246,13 @@ def cmd_solve(args) -> int:
         ("risk_t", _fmt(report.risk_t)),
         ("risk_r", _fmt(report.risk_r)),
     )
-    for name, value in fields:
-        print(f"{name}: {value}")
     if args.csv is not None:
+        # written first, so that an unwritable path prints no report;
         # the CSV column of the rule's kind is named rule_kind
         header = ",".join("rule_kind" if name == "rule" else name for name, _ in fields)
         _emit([header, ",".join(value for _, value in fields)], args.csv)
+    for name, value in fields:
+        print(f"{name}: {value}")
     return 0
 
 

@@ -69,7 +69,6 @@ _PRIOR_TOL = 1e-12
 _SYMMETRY_TOL = 1e-12
 _POWER_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
-_FLOAT_MIN = 2.0 ** -1022  # the smallest normal double
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -405,7 +404,9 @@ def derived_quantities(spec: GameSpec) -> DerivedQuantities:
 
 @dataclass(frozen=True, eq=False)
 class ReceiverRule:
-    """Decision rule.  THRESHOLD decides H1 iff a . y > eta with a nonzero.
+    """Decision rule.  THRESHOLD decides H1 iff a . y > eta, with finite
+    entries, a not all zero and a finite eta; scaling (a, eta) by any positive
+    number gives the same rule, so validity reads the entries, never a norm.
 
     Degenerate kinds ignore the observation; ``eta`` then records the
     prior-rule margin zeta * (tau - 1) when one is defined, else 0.
@@ -420,38 +421,20 @@ class ReceiverRule:
             arr = np.array(self.a, dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, "a", arr)
+            entries = arr.ravel().tolist()
         else:
             object.__setattr__(self, "a", float(self.a))
+            entries = (self.a,)
         object.__setattr__(self, "eta", float(self.eta))
         if self.kind is RuleKind.THRESHOLD:
-            norm = self._direction_norm()
-            # a finite norm has finite entries; an infinite one may overflow
-            if not math.isfinite(norm) and not np.all(np.isfinite(self.a)):
+            if not all(map(math.isfinite, entries)):
                 raise SpecError("rule.a: must be finite")
             if not math.isfinite(self.eta):
                 raise SpecError("rule.eta: must be finite")
-            if norm == 0.0:
+            if not any(entries):
                 raise SpecError("rule: a threshold rule needs a nonzero direction")
         elif isinstance(self.a, np.ndarray) or self.a != 0.0:
             raise SpecError("rule: degenerate rules carry a = 0")
-
-    def _direction_norm(self) -> float:
-        if isinstance(self.a, np.ndarray):
-            # the 2-norm as np.linalg.norm computes it
-            flat = self.a.ravel()
-            squares = float(flat.dot(flat))
-            if squares < _FLOAT_MIN or squares == math.inf:
-                # the squares under- or overflowed: when the entries are
-                # finite and not all zero, scale them exactly by the power of
-                # two just above the largest, and scale the norm back (a norm
-                # past the largest double stays inf)
-                largest = float(np.max(np.abs(flat)))
-                if 0.0 < largest < math.inf:
-                    exp = math.frexp(largest)[1]
-                    scaled = np.ldexp(flat, -exp)
-                    return float(np.ldexp(math.sqrt(float(scaled.dot(scaled))), exp))
-            return math.sqrt(squares)
-        return abs(self.a)
 
     @classmethod
     def threshold(cls, a, eta: float) -> "ReceiverRule":
@@ -470,19 +453,6 @@ class ReceiverRule:
     @classmethod
     def indifferent(cls, eta: float = 0.0) -> "ReceiverRule":
         return cls(RuleKind.INDIFFERENT, 0.0, eta)
-
-    def normalized(self) -> "ReceiverRule":
-        """Equivalent rule scaled so the direction has unit magnitude."""
-        if self.kind is not RuleKind.THRESHOLD:
-            return self
-        norm = self._direction_norm()
-        if norm == math.inf:
-            # finite entries whose norm overflows: scale the rule exactly by
-            # the power of two just above the largest entry, then normalize
-            exp = math.frexp(float(np.max(np.abs(self.a))))[1]
-            return ReceiverRule(RuleKind.THRESHOLD, np.ldexp(self.a, -exp),
-                                math.ldexp(self.eta, -exp)).normalized()
-        return ReceiverRule(RuleKind.THRESHOLD, self.a / norm, self.eta / norm)
 
 
 # the rule of each receiver case that ignores the observation

@@ -48,24 +48,20 @@ def require_identical_agents(spec: GameSpec) -> None:
 @dataclass(frozen=True)
 class Perturbation:
     """Additive offsets applied to the receiver's parameters to build a
-    perturbed transmitter: priors must renormalize (eps_prior0 = -eps_prior1).
+    perturbed transmitter.  One prior offset moves prior0 by +eps_prior0 and
+    prior1 by -eps_prior0, so the priors still sum to one.
     """
 
     eps_prior0: float = 0.0
-    eps_prior1: float = 0.0
     eps_c00: float = 0.0
     eps_c01: float = 0.0
     eps_c10: float = 0.0
     eps_c11: float = 0.0
 
-    @property
-    def renormalizes(self) -> bool:
-        return self.eps_prior0 == -self.eps_prior1
-
     def applied_to(self, base: AgentParams) -> AgentParams:
         return AgentParams(
             base.prior0 + self.eps_prior0,
-            base.prior1 + self.eps_prior1,
+            base.prior1 - self.eps_prior0,
             (
                 (base.c00 + self.eps_c00, base.c01 + self.eps_c01),
                 (base.c10 + self.eps_c10, base.c11 + self.eps_c11),
@@ -108,9 +104,8 @@ def robustness_scan(spec: GameSpec, concept: Concept | str,
 
     The base spec must have identical agents and a finite tau.  Team play is
     rejected: a perturbed transmitter no longer shares the receiver's
-    objective.  An offset that does not renormalize the priors, or that
-    yields an invalid agent or an unsolvable game, is reported in its entry's
-    ``error`` instead of a report.
+    objective.  An offset that yields an invalid agent or an unsolvable game
+    is reported in its entry's ``error`` instead of a report.
     """
     concept = Concept(concept)
     if concept is Concept.TEAM:
@@ -122,8 +117,6 @@ def robustness_scan(spec: GameSpec, concept: Concept | str,
     entries = []
     for pert in perturbations:
         try:
-            if not pert.renormalizes:
-                raise SpecError("priors must renormalize: eps_prior0 = -eps_prior1")
             moved = replace(spec, transmitter=pert.applied_to(spec.receiver))
             entries.append(ScanEntry(pert, _solve(moved, concept)))
         except SpecError as exc:

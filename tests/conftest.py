@@ -103,10 +103,10 @@ def grid_search_transmitter(spec: GameSpec, grid_size: int) -> tuple[float, floa
     return float(ds[i]), float(risks[i])
 
 
-def _unit_rule(rule: ReceiverRule) -> tuple[np.ndarray, float]:
-    """(a, eta) of a threshold rule scaled to a unit direction.  The largest
-    entry of a is divided out first, so no square overflows or underflows, as
-    it can in ``ReceiverRule.normalized`` at extreme magnitudes."""
+def unit_rule(rule: ReceiverRule) -> tuple[np.ndarray, float]:
+    """(a, eta) of a threshold rule scaled to a unit direction, the same rule
+    (a scalar direction as a 1-vector).  The largest entry of a is divided out
+    first, so no square overflows or underflows at extreme magnitudes."""
     a = np.atleast_1d(np.asarray(rule.a, dtype=float))
     top = float(np.max(np.abs(a)))
     a, eta = a / top, rule.eta / top
@@ -123,7 +123,7 @@ def rules_close(lhs: ReceiverRule, rhs: ReceiverRule, rel: float) -> bool:
         return False
     if lhs.kind is not RuleKind.THRESHOLD:
         return rules_equal(lhs, rhs)
-    (xa, x_eta), (ya, y_eta) = _unit_rule(lhs), _unit_rule(rhs)
+    (xa, x_eta), (ya, y_eta) = unit_rule(lhs), unit_rule(rhs)
     if xa.shape != ya.shape:
         return False
     da = xa - ya

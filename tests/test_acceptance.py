@@ -47,6 +47,7 @@ from conftest import (
     random_identical_spec,
     random_scalar_spec,
     signals_equal,
+    unit_rule,
 )
 from test_nash import nash_unmoved, within_margins
 from test_vector import embed_1d
@@ -373,9 +374,9 @@ def test_criterion_08_vector_scalar_coherence():
                     and float(b.signals.s1[0]) == a.signals.s1
                     and a.rule.kind is b.rule.kind)
             if same and a.rule.kind is RuleKind.THRESHOLD:
-                na, nb = a.rule.normalized(), b.rule.normalized()
-                same = (abs(na.a - float(np.asarray(nb.a)[0])) <= 1e-12
-                        and abs(na.eta - nb.eta) <= 1e-12)
+                (xa, x_eta), (ya, y_eta) = unit_rule(a.rule), unit_rule(b.rule)
+                same = (abs(float(xa[0]) - float(ya[0])) <= 1e-12
+                        and abs(x_eta - y_eta) <= 1e-12)
             elif same:
                 same = a.rule.eta == b.rule.eta
             if not same:

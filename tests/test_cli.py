@@ -11,13 +11,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from sigeq import Concept, GameSpec, q_function, solve
+from sigeq import (AgentParams, AveragePower, Concept, GameSpec, NoiseModel, PeakPower,
+                   q_function, solve)
 from sigeq.cli import _fmt, load_spec, main
-from conftest import demo_spec
+from conftest import DEMO_RX, DEMO_TX, demo_spec
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -215,6 +217,53 @@ def test_sweep_output_is_deterministic(tmp_path):
     assert path.read_text() == first
 
 
+_AVG_AGENT = AgentParams.from_prior0(0.5, ((0.0, 1.0), (1.0, 0.0)))
+# (config, concept, param, the game a value stands for, built directly, or
+# the error that the sweep exits 2 with)
+_REBINDINGS = [
+    ("demo", "stackelberg", "power.p0",
+     lambda v: replace(demo_spec(), power=PeakPower(v, 1.0))),
+    ("demo", "nash", "power.p1", lambda v: replace(demo_spec(), power=PeakPower(1.0, v))),
+    ("avg_symmetric", "stackelberg", "power.p_avg", lambda v: GameSpec(
+        _AVG_AGENT, _AVG_AGENT, NoiseModel.scalar(1.0), AveragePower(v))),
+    ("demo", "stackelberg", "transmitter.c10", lambda v: replace(
+        demo_spec(), transmitter=AgentParams.from_prior0(0.25, ((0.6, 0.4), (v, 0.6))))),
+    ("demo", "nash", "receiver.c01", lambda v: replace(
+        demo_spec(), receiver=AgentParams.from_prior0(0.25, ((0.0, v), (0.9, 0.0))))),
+    ("demo", "nash", "transmitter.prior0", lambda v: replace(
+        demo_spec(), transmitter=AgentParams.from_prior0(v, DEMO_TX.costs))),
+    ("demo", "stackelberg", "receiver.prior0", lambda v: replace(
+        demo_spec(), receiver=AgentParams.from_prior0(v, DEMO_RX.costs))),
+    ("avg_symmetric", "nash", "power.p0", "param power.p0: peak-power config required"),
+    ("demo", "nash", "noise.covariance", "param noise.covariance: unknown field"),
+    ("demo", "nash", "power.p2", "param power.p2: unknown field"),
+    ("demo", "nash", "receiver.c22", "param receiver.c22: unknown field"),
+    ("demo", "nash", "sigma", "param sigma: unknown parameter name"),
+    ("demo", "nash", "channel.sigma", "param channel.sigma: unknown parameter name"),
+    ("demo", "nash", "alpha", "param alpha: config must use the biased_cost preset"),
+]
+
+
+@pytest.mark.parametrize("config,concept,param,expect", _REBINDINGS,
+                         ids=[f"{cfg}-{param}" for cfg, _, param, _ in _REBINDINGS])
+def test_sweep_rebinds_each_field_or_names_its_error(config, concept, param, expect):
+    code, out, err = run_cli(["sweep", "--config", CONFIGS / f"{config}.json",
+                              "--concept", concept, "--param", param,
+                              "--min", 0.2, "--max", 0.8, "--steps", 4])
+    if isinstance(expect, str):
+        assert (code, out, err) == (2, "", f"error: {expect}\n")
+        return
+    assert code == 0 and err == ""
+    header, *rows = out.splitlines()
+    assert header == "param,value,d_star,risk_t,risk_r,case"
+    values = [float(row.split(",")[1]) for row in rows]
+    assert values == pytest.approx([0.2, 0.4, 0.6, 0.8], rel=1e-15)
+    for row, v in zip(rows, values):
+        rep = solve(expect(v), Concept(concept))
+        assert row == ",".join([param, _fmt(v), _fmt(rep.d_star), _fmt(rep.risk_t),
+                                _fmt(rep.risk_r), rep.case_label])
+
+
 # ---------------------------------------------------------------------------
 # dynamics
 
@@ -393,8 +442,8 @@ def test_missing_config_file_exits_two(tmp_path):
 ], ids=["solve", "sweep", "dynamics"])
 def test_unwritable_csv_exits_two_naming_it(tmp_path, argv):
     path = tmp_path / "missing" / "out.csv"
-    code, _, err = run_cli([*argv, "--config", CONFIGS / "demo.json", "--csv", path])
-    assert code == 2
+    code, out, err = run_cli([*argv, "--config", CONFIGS / "demo.json", "--csv", path])
+    assert code == 2 and out == ""
     assert err.startswith("error: csv: ") and str(path) in err
     assert err.count("\n") == 1
 

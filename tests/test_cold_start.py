@@ -39,7 +39,7 @@ CLI_RUNS = (
     + [("dynamics", "--config", _config(cfg)) for cfg in ("demo", "biased", "team_point")]
 )
 # a scalar boundary, and a vector one moved within the sampler's reach, so
-# that both ndtr and ndtri are called
+# that ndtri is called
 VERIFY_RUNS = (
     ("verify", "--config", _config("demo"), "--concept", "stackelberg",
      "--samples", "20000", "--seed", "3"),

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,8 @@ from sigeq import (
     solve,
 )
 from conftest import (DEMO_RX, DEMO_TX, demo_spec, matched_rule, random_agent,
-                      random_scalar_spec, random_spd_matrix, rules_close, signals_equal)
+                      random_scalar_spec, random_spd_matrix, rules_close, signals_equal,
+                      unit_rule)
 
 Q1 = 0.15865525393145707
 
@@ -392,49 +394,52 @@ def test_receiver_rule_validation():
         ReceiverRule.threshold(0.0, 1.0)
     with pytest.raises(SpecError):
         ReceiverRule(RuleKind.ALWAYS_H0, a=1.0)
-    rule = ReceiverRule.threshold(np.array([3.0, 4.0]), 10.0)
-    norm_rule = rule.normalized()
-    assert np.allclose(norm_rule.a, [0.6, 0.8]) and norm_rule.eta == 2.0
+    rule = ReceiverRule.threshold([3.0, 4.0], 10.0)
+    assert np.array_equal(rule.a, [3.0, 4.0]) and rule.eta == 10.0
+    assert not rule.a.flags.writeable
 
 
-def test_rule_direction_norm_survives_underflowing_and_overflowing_squares():
-    # the squares of these entries underflow to 0 or overflow to inf
-    tiny = ReceiverRule.threshold(np.array([1e-200, 0.0]), 1.0)
-    assert tiny._direction_norm() == 1e-200
-    assert np.array_equal(tiny.normalized().a, [1.0, 0.0])
-    assert tiny.normalized().eta == 1e200
-    with np.errstate(over="ignore"):
-        huge = ReceiverRule.threshold(np.array([1e200, 0.0]), 1.0).normalized()
-    assert np.array_equal(huge.a, [1.0, 0.0]) and huge.eta == 1e-200
-    # scaling by a power of two is exact: the rescaled 3-4-5 rule keeps its bits
-    moderate = ReceiverRule.threshold(np.array([3.0, 4.0]), 10.0).normalized()
-    for k in (-600, -540, 540, 600):
-        with np.errstate(over="ignore"):
-            rule = ReceiverRule.threshold(np.ldexp([3.0, 4.0], k), math.ldexp(10.0, k))
-            norm, scaled = rule._direction_norm(), rule.normalized()
-        assert norm == math.ldexp(5.0, k)
-        assert np.array_equal(scaled.a, moderate.a) and scaled.eta == moderate.eta
-    assert ReceiverRule.threshold(np.array([5e-324, 0.0]), 0.0)._direction_norm() == 5e-324
-    with np.errstate(over="ignore"):
-        # finite entries whose norm is past the largest double
-        assert ReceiverRule.threshold(np.array([1.5e308, 1.5e308]),
-                                      0.0)._direction_norm() == math.inf
-    for bad in ([0.0, 0.0], [math.inf, 1.0], [math.nan, 1.0]):
-        with pytest.raises(SpecError):
-            ReceiverRule.threshold(np.array(bad), 1.0)
+def test_rule_validity_reads_its_entries():
+    # a rule is valid when its entries are finite, a is not all zero and eta
+    # is finite; it forms no norm, so extreme magnitudes neither warn nor fail
+    accepted = [[1e-200, 0.0], [5e-324, 0.0], [1e200, 0.0], [1.5e308, 1.5e308],
+                np.ldexp([3.0, 4.0], -600), np.ldexp([3.0, 4.0], 600)]
+    rejected = [
+        ([0.0, 0.0], 1.0, "rule: a threshold rule needs a nonzero direction"),
+        ([math.inf, 1.0], 1.0, "rule.a: must be finite"),
+        ([math.nan, 1.0], 1.0, "rule.a: must be finite"),
+        (0.0, 1.0, "rule: a threshold rule needs a nonzero direction"),
+        ([1.0, 0.0], math.inf, "rule.eta: must be finite"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entries in accepted:
+            rule = ReceiverRule.threshold(entries, 1.0)
+            assert np.array_equal(rule.a, entries) and rule.eta == 1.0
+        for a, eta, message in rejected:
+            with pytest.raises(SpecError) as exc:
+                ReceiverRule.threshold(a, eta)
+            assert str(exc.value) == message
 
 
-def test_rule_normalizes_a_direction_whose_norm_overflows():
-    # finite entries whose norm is past the largest double
-    with np.errstate(over="ignore"):
-        rules = [ReceiverRule.threshold(np.array([1.5e308, s * 1.5e308]), eta).normalized()
-                 for s, eta in ((1.0, 1.0), (-1.0, 3e307))]
-    for rule, sign, eta in zip(rules, (1.0, -1.0), (1.0, 3e307)):
-        assert rule.a == pytest.approx([math.sqrt(0.5), sign * math.sqrt(0.5)], rel=1e-15)
-        assert rule._direction_norm() == pytest.approx(1.0, rel=1e-15)
-        assert rule.eta == pytest.approx(eta / 1.5e308 / math.sqrt(2.0), rel=1e-12)
-    moderate = ReceiverRule.threshold(np.array([3.0, 4.0]), 10.0).normalized()
-    assert np.array_equal(moderate.a, [0.6, 0.8]) and moderate.eta == 2.0
+def test_unit_rule_scales_extreme_directions_exactly():
+    # the tests' stand-in for a rule's norm divides the largest entry out
+    # first; a power-of-two scaling of the 3-4-5 rule keeps its bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moderate = unit_rule(ReceiverRule.threshold([3.0, 4.0], 10.0))
+        assert np.array_equal(moderate[0], [0.6, 0.8]) and moderate[1] == 2.0
+        for k in (-600, -540, 540, 600):
+            a, eta = unit_rule(ReceiverRule.threshold(np.ldexp([3.0, 4.0], k),
+                                                      math.ldexp(10.0, k)))
+            assert np.array_equal(a, moderate[0]) and eta == moderate[1]
+        a, eta = unit_rule(ReceiverRule.threshold([1e-200, 0.0], 1.0))
+        assert np.array_equal(a, [1.0, 0.0]) and eta == 1e200
+        for s, eta in ((1.0, 1.0), (-1.0, 3e307)):
+            # finite entries whose norm is past the largest double
+            a, unit_eta = unit_rule(ReceiverRule.threshold([1.5e308, s * 1.5e308], eta))
+            assert a == pytest.approx([math.sqrt(0.5), s * math.sqrt(0.5)], rel=1e-15)
+            assert unit_eta == pytest.approx(eta / 1.5e308 / math.sqrt(2.0), rel=1e-12)
 
 
 def test_optimal_rule_antipodal_symmetric():

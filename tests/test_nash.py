@@ -406,7 +406,7 @@ def test_nash_scan_ignores_prior_perturbations_entirely():
     # so even a large prior shift moves nothing
     spec = team_point_spec()
     scan = robustness_scan(spec, Concept.NASH,
-                           [Perturbation(eps_prior0=0.1, eps_prior1=-0.1)])
+                           [Perturbation(eps_prior0=0.1)])
     assert nash_unmoved(scan, spec.receiver)
     rep = scan.entries[0].report
     assert signals_equal(rep.signals, scan.base.signals)
@@ -414,10 +414,15 @@ def test_nash_scan_ignores_prior_perturbations_entirely():
 
 
 def test_nash_scan_rejects_non_renormalizing_offsets_per_entry():
+    # a second prior offset can no longer be written, and an offset that
+    # leaves the priors invalid fails in its own entry while the next solves
+    with pytest.raises(TypeError):
+        Perturbation(eps_prior0=0.1, eps_prior1=-0.1)
     scan = robustness_scan(team_point_spec(), Concept.NASH,
-                           [Perturbation(eps_prior0=0.1)])
-    assert scan.entries[0].report is None
-    assert scan.entries[0].error
+                           [Perturbation(eps_prior0=2.0), Perturbation(eps_prior0=0.1)])
+    bad, good = scan.entries
+    assert bad.report is None and "prior" in bad.error
+    assert good.error is None and good.report is not None
 
 
 # ---------------------------------------------------------------------------

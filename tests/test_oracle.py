@@ -13,7 +13,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from sigeq import oracle
 from sigeq import (
@@ -309,13 +309,13 @@ def test_guard_constants_cover_the_special_function_errors():
     rng = np.random.default_rng(11)
     xs = rng.uniform(-9.0, 9.0, 300)
     with mpmath.workdps(40):
-        ndtr_err = max(abs(mpmath.mpf(float(ndtr(x))) - mpmath.ncdf(x)) for x in xs)
+        ndtr_err = max(abs(mpmath.mpf(oracle._ndtr(float(x))) - mpmath.ncdf(x)) for x in xs)
         us = np.concatenate([rng.integers(1, 2**53, 200), rng.integers(1, 2**20, 50),
                              2**53 - rng.integers(1, 2**20, 50)]) * 2.0 ** -53
         ndtri_err = max(abs(mpmath.mpf(float(ndtri(v)))
                             - mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(v) - 1))
                         for v in us)
-    assert 0.0 < ndtr_err <= oracle._U_PAD
+    assert 0.0 < ndtr_err <= 2.2e-16 < oracle._U_PAD
     assert ndtri_err <= oracle._GUARD / 100
     assert -ndtri(2.0 ** -53) == ndtri(1.0 - 2.0 ** -53) < oracle._Z_REACH
 

@@ -238,9 +238,7 @@ def test_endpoint_rule_sign_matches_brute_force_on_random_draws():
 
 
 def test_perturbation_container():
-    pert = Perturbation(0.01, -0.01, 0.0, 0.0, 1e-3, 0.0)
-    assert pert.renormalizes
-    assert not Perturbation(eps_prior0=0.01).renormalizes
+    pert = Perturbation(0.01, 0.0, 0.0, 1e-3, 0.0)
     agent = AgentParams.from_prior0(0.25, ((0.0, 0.4), (0.9, 0.0)))
     moved = pert.applied_to(agent)
     assert moved.prior0 == 0.26 and abs(moved.prior1 - 0.74) <= 1e-15
@@ -322,10 +320,37 @@ def test_scan_finds_informativeness_flip_at_small_budget():
 
 
 def test_non_renormalizing_prior_offsets_are_rejected_per_entry():
+    # a second prior offset can no longer be written, and an offset that
+    # leaves the priors invalid fails in its own entry while the next solves
+    with pytest.raises(TypeError):
+        Perturbation(eps_prior0=1e-3, eps_prior1=0.0)
     spec = team_point_spec(sigma=0.1)
-    scan = robustness_scan(spec, Concept.STACKELBERG, [Perturbation(eps_prior0=1e-3)])
-    assert scan.entries[0].report is None
-    assert "renormalize" in scan.entries[0].error
+    scan = robustness_scan(spec, Concept.STACKELBERG,
+                           [Perturbation(eps_prior0=2.0), Perturbation(eps_prior0=1e-3)])
+    bad, good = scan.entries
+    assert bad.report is None and "prior" in bad.error
+    assert good.error is None and good.report is not None
+
+
+def test_one_prior_offset_moves_both_priors():
+    # eps_prior0 = e moves prior1 by -e, bit for bit as the pair (e, -e) of
+    # offsets added to the two priors did, and the moved game solves
+    for channel in ("scalar", "vector", "avg"):
+        spec = fragile_team_spec(channel)
+        base = spec.receiver
+        for eps in (1e-3, -1e-3, 0.1, -0.2):
+            pair = AgentParams(base.prior0 + eps, base.prior1 + -eps, base.costs)
+            moved = Perturbation(eps_prior0=eps).applied_to(base)
+            assert (moved.prior0, moved.prior1) == (pair.prior0, pair.prior1)
+            for concept in (Concept.STACKELBERG, Concept.NASH):
+                rep = robustness_scan(spec, concept, [Perturbation(eps_prior0=eps)]
+                                      ).entries[0].report
+                ref = solve(GameSpec(pair, base, spec.noise, spec.power,
+                                     spec.dimension), concept)
+                assert (rep.case_label, rep.d_star) == (ref.case_label, ref.d_star)
+                assert (rep.risk_t, rep.risk_r) == (ref.risk_t, ref.risk_r)
+                assert signals_equal(rep.signals, ref.signals)
+                assert rules_equal(rep.rule, ref.rule)
 
 
 # ---------------------------------------------------------------------------
