@@ -46,13 +46,13 @@ def _fmt(x) -> str:
         return "[" + " ".join(format(float(c), ".17g") for c in x) + "]"
     if isinstance(x, (bool, np.bool_)):
         return "yes" if x else "no"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
 # config loading
+# Each spec type names its own bad field; the reader adds only what no
+# constructor knows: the agent or the preset that a message comes from.
 
 
 def _read_json(path: str) -> dict:
@@ -77,33 +77,27 @@ def _agent_from(doc, path: str) -> AgentParams:
         if "prior1" in doc:
             return AgentParams(doc["prior0"], doc["prior1"], doc["costs"])
         return AgentParams.from_prior0(doc["prior0"], doc["costs"])
-    except (SpecError, TypeError, ValueError) as exc:
+    except SpecError as exc:
         raise SpecError(f"{path}: {exc}") from exc
 
 
 def _noise_from(doc) -> NoiseModel:
     if not isinstance(doc, dict):
         raise SpecError("noise: expected an object")
-    try:
-        if "sigma" in doc and "covariance" not in doc:
-            return NoiseModel.scalar(doc["sigma"])
-        if "covariance" in doc and "sigma" not in doc:
-            return NoiseModel.matrix(doc["covariance"])
-    except (SpecError, TypeError, ValueError) as exc:
-        raise SpecError(f"noise: {exc}") from exc
+    if "sigma" in doc and "covariance" not in doc:
+        return NoiseModel.scalar(doc["sigma"])
+    if "covariance" in doc and "sigma" not in doc:
+        return NoiseModel.matrix(doc["covariance"])
     raise SpecError("noise: provide exactly one of 'sigma' or 'covariance'")
 
 
 def _power_from(doc):
     if not isinstance(doc, dict):
         raise SpecError("power: expected an object")
-    try:
-        if "p_avg" in doc:
-            return AveragePower(doc["p_avg"])
-        if "p0" in doc and "p1" in doc:
-            return PeakPower(doc["p0"], doc["p1"])
-    except (SpecError, TypeError, ValueError) as exc:
-        raise SpecError(f"power: {exc}") from exc
+    if "p_avg" in doc:
+        return AveragePower(doc["p_avg"])
+    if "p0" in doc and "p1" in doc:
+        return PeakPower(doc["p0"], doc["p1"])
     raise SpecError("power: provide 'p0' and 'p1', or 'p_avg'")
 
 
@@ -117,25 +111,19 @@ _PRESETS = {
 
 def _spec_from_preset(doc) -> GameSpec:
     name = doc["preset"]
-    if name not in _PRESETS:
-        raise SpecError(f"preset: unknown preset '{name}'")
+    if not isinstance(name, str) or name not in _PRESETS:
+        raise SpecError(f"preset: unknown preset {name!r}")
     builder, required, optional = _PRESETS[name]
-    kwargs = {}
     for key in required:
         if key not in doc:
             raise SpecError(f"preset {name}: missing field '{key}'")
-    for key, value in doc.items():
-        if key == "preset":
-            continue
+    kwargs = {key: value for key, value in doc.items() if key != "preset"}
+    for key in kwargs:
         if key not in required and key not in optional:
             raise SpecError(f"preset {name}: unknown field '{key}'")
-        if key == "costs":
-            kwargs[key] = tuple(tuple(row) for row in value)
-        else:
-            kwargs[key] = value
     try:
         return builder(**kwargs)
-    except (SpecError, TypeError, ValueError) as exc:
+    except SpecError as exc:
         raise SpecError(f"preset {name}: {exc}") from exc
 
 
@@ -147,16 +135,13 @@ def spec_from_config(doc: dict) -> GameSpec:
         if key not in doc:
             raise SpecError(f"config: missing field '{key}'")
     noise = _noise_from(doc["noise"])
-    try:
-        return GameSpec(
-            transmitter=_agent_from(doc["transmitter"], "transmitter"),
-            receiver=_agent_from(doc["receiver"], "receiver"),
-            noise=noise,
-            power=_power_from(doc["power"]),
-            dimension=doc.get("dimension", noise.dimension),
-        )
-    except (SpecError, TypeError, ValueError) as exc:
-        raise SpecError(f"config: {exc}") from exc
+    return GameSpec(
+        transmitter=_agent_from(doc["transmitter"], "transmitter"),
+        receiver=_agent_from(doc["receiver"], "receiver"),
+        noise=noise,
+        power=_power_from(doc["power"]),
+        dimension=doc.get("dimension", noise.dimension),
+    )
 
 
 def load_spec(path: str) -> GameSpec:
@@ -205,8 +190,7 @@ def _sweep_spec(doc: dict, base: GameSpec, param: str, value: float) -> GameSpec
             i, j = _COST_FIELDS[tail]
             rows = [list(agent.costs[0]), list(agent.costs[1])]
             rows[i][j] = value
-            new = AgentParams(agent.prior0, agent.prior1,
-                              (tuple(rows[0]), tuple(rows[1])))
+            new = AgentParams(agent.prior0, agent.prior1, rows)
         else:
             raise SpecError(f"param {param}: unknown field")
         return replace(base, **{head: new})
@@ -304,8 +288,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_dynamics(args) -> int:
     spec = load_spec(args.config)
-    if args.init_a == 0.0:
-        raise SpecError("init-a: the starting rule direction must be nonzero")
     init = ReceiverRule.threshold(args.init_a, args.init_eta)
     trace = best_response_dynamics(spec, init_rule=init)
     lines = ["step,s0,s1,rule_kind,rule_a,rule_eta"]

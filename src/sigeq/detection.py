@@ -88,6 +88,21 @@ def _sign(x: float) -> int:
     return 0
 
 
+def _real(name: str, value, arrays: bool = False) -> float | np.ndarray:
+    """``value`` as a float or, where ``arrays`` allows, a list, tuple or
+    array as a read-only float array, else a ``SpecError`` naming the field.
+    The spec types, rules and signal pairs convert every input with it."""
+    try:
+        if arrays and isinstance(value, (list, tuple, np.ndarray)):
+            arr = np.array(value, dtype=float)
+            arr.setflags(write=False)
+            return arr
+        return float(value)
+    except (TypeError, ValueError):
+        kind = "a real number or a regular array of them" if arrays else "a real number"
+        raise SpecError(f"{name}: must be {kind}") from None
+
+
 # ---------------------------------------------------------------------------
 # game description
 
@@ -116,14 +131,13 @@ class AgentParams:
     miss_margin: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prior0", float(self.prior0))
-        object.__setattr__(self, "prior1", float(self.prior1))
-        rows = tuple(self.costs)
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise SpecError("costs: expected a 2x2 matrix indexed [decision][truth]")
-        (c00, c01), (c10, c11) = rows
-        flat = (float(c00), float(c01), float(c10), float(c11))
-        c00, c01, c10, c11 = flat
+        object.__setattr__(self, "prior0", _real("prior0", self.prior0))
+        object.__setattr__(self, "prior1", _real("prior1", self.prior1))
+        try:
+            (c00, c01), (c10, c11) = self.costs
+        except (TypeError, ValueError):
+            raise SpecError("costs: expected a 2x2 matrix indexed [decision][truth]") from None
+        c00, c01, c10, c11 = flat = [_real("costs", c) for c in (c00, c01, c10, c11)]
         object.__setattr__(self, "costs", ((c00, c01), (c10, c11)))
         if not (self.prior0 > 0.0 and self.prior1 > 0.0):
             raise SpecError("prior0: priors must be strictly positive")
@@ -141,7 +155,8 @@ class AgentParams:
     def from_prior0(
         cls, prior0: float, costs: tuple[tuple[float, float], tuple[float, float]]
     ) -> "AgentParams":
-        return cls(float(prior0), 1.0 - float(prior0), costs)
+        prior0 = _real("prior0", prior0)
+        return cls(prior0, 1.0 - prior0, costs)
 
 
 def _signed_pair(a: np.ndarray, values: np.ndarray,
@@ -189,14 +204,14 @@ class NoiseModel:
         if (self.sigma is None) == (self.covariance is None):
             raise SpecError("noise: provide exactly one of sigma or covariance")
         if self.sigma is not None:
-            object.__setattr__(self, "sigma", float(self.sigma))
+            object.__setattr__(self, "sigma", _real("noise.sigma", self.sigma))
             if not math.isfinite(self.sigma):
                 raise SpecError("noise.sigma: must be finite")
             if not self.sigma > 0.0:
                 raise SpecError("noise.sigma: must be strictly positive")
             return
-        cov = np.array(self.covariance, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        cov = _real("noise.covariance", self.covariance, arrays=True)
+        if np.ndim(cov) != 2 or cov.shape[0] != cov.shape[1]:
             raise SpecError("noise.covariance: must be a square matrix")
         if cov.shape[0] > 64:
             raise SpecError("noise.covariance: dimension limited to 64")
@@ -208,7 +223,6 @@ class NoiseModel:
         if values[0] <= 0.0:
             raise SpecError("noise.covariance: must be positive definite")
         lam, axis = _signed_pair(cov, values, vectors)
-        cov.setflags(write=False)
         object.__setattr__(self, "covariance", cov)
         object.__setattr__(self, "min_eigenvalue", lam)
         object.__setattr__(self, "min_eigenvector", axis)
@@ -239,12 +253,12 @@ class PeakPower:
 
     def __post_init__(self) -> None:
         for name in ("p0", "p1"):
-            value = float(getattr(self, name))
+            value = _real(f"power.{name}", getattr(self, name))
             if not math.isfinite(value):
-                raise SpecError(f"power: {name} must be finite")
+                raise SpecError(f"power.{name}: must be finite")
+            if not value > 0.0:
+                raise SpecError(f"power.{name}: must be strictly positive")
             object.__setattr__(self, name, value)
-        if not (self.p0 > 0.0 and self.p1 > 0.0):
-            raise SpecError("power: peak budgets must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -254,11 +268,11 @@ class AveragePower:
     p_avg: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_avg", float(self.p_avg))
+        object.__setattr__(self, "p_avg", _real("power.p_avg", self.p_avg))
         if not math.isfinite(self.p_avg):
-            raise SpecError("power: p_avg must be finite")
+            raise SpecError("power.p_avg: must be finite")
         if not self.p_avg > 0.0:
-            raise SpecError("power: p_avg must be strictly positive")
+            raise SpecError("power.p_avg: must be strictly positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,9 +286,10 @@ class GameSpec:
     dimension: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dimension", int(self.dimension))
-        if self.dimension < 1:
+        dimension = _real("dimension", self.dimension)
+        if not (dimension.is_integer() and dimension >= 1.0):
             raise SpecError("dimension: must be a positive integer")
+        object.__setattr__(self, "dimension", int(dimension))
         if self.dimension != self.noise.dimension:
             raise SpecError("dimension: must match the noise model dimension")
         if isinstance(self.power, AveragePower) and not self.noise.is_scalar:
@@ -417,29 +432,25 @@ class ReceiverRule:
     eta: float = 0.0
 
     def __post_init__(self) -> None:
-        if isinstance(self.a, np.ndarray):
-            arr = np.array(self.a, dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, "a", arr)
-            entries = arr.ravel().tolist()
-        else:
-            object.__setattr__(self, "a", float(self.a))
-            entries = (self.a,)
-        object.__setattr__(self, "eta", float(self.eta))
+        # the solvers pass floats, which skip the conversion
+        if type(self.a) is not float:
+            object.__setattr__(self, "a", _real("rule.a", self.a, arrays=True))
+        if type(self.eta) is not float:
+            object.__setattr__(self, "eta", _real("rule.eta", self.eta))
+        a, vector = self.a, isinstance(self.a, np.ndarray)
         if self.kind is RuleKind.THRESHOLD:
+            entries = a.ravel().tolist() if vector else (a,)
             if not all(map(math.isfinite, entries)):
                 raise SpecError("rule.a: must be finite")
             if not math.isfinite(self.eta):
                 raise SpecError("rule.eta: must be finite")
             if not any(entries):
                 raise SpecError("rule: a threshold rule needs a nonzero direction")
-        elif isinstance(self.a, np.ndarray) or self.a != 0.0:
+        elif vector or a != 0.0:
             raise SpecError("rule: degenerate rules carry a = 0")
 
     @classmethod
     def threshold(cls, a, eta: float) -> "ReceiverRule":
-        if isinstance(a, (list, tuple, np.ndarray)):
-            a = np.asarray(a, dtype=float)
         return cls(RuleKind.THRESHOLD, a, eta)
 
     @classmethod
@@ -471,14 +482,11 @@ class SignalDesign:
     s1: float | np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("s0", "s1"):
-            v = getattr(self, name)
-            if isinstance(v, (list, tuple, np.ndarray)):
-                arr = np.array(v, dtype=float)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
-            else:
-                object.__setattr__(self, name, float(v))
+        # the solvers pass floats, which skip the conversion
+        if type(self.s0) is not float:
+            object.__setattr__(self, "s0", _real("signals.s0", self.s0, arrays=True))
+        if type(self.s1) is not float:
+            object.__setattr__(self, "s1", _real("signals.s1", self.s1, arrays=True))
 
     @property
     def coincident(self) -> bool:
@@ -622,19 +630,35 @@ def _fixed_error_probs(rule: ReceiverRule) -> tuple[float, float]:
     return (1.0, 0.0) if rule.kind is RuleKind.ALWAYS_H1 else (0.0, 1.0)
 
 
+def _check_fits(signals: SignalDesign, rule: ReceiverRule, noise: NoiseModel) -> None:
+    """Raise unless the signals and a threshold rule's direction are floats
+    on a scalar channel, or arrays of its dimension on a vector one."""
+    if noise.sigma is not None:
+        # class tests only: this runs on every scalar risk
+        if isinstance(signals.s0, np.ndarray) or isinstance(signals.s1, np.ndarray):
+            raise SpecError("signals: a scalar channel takes scalar signals")
+        if isinstance(rule.a, np.ndarray):
+            raise SpecError("rule.a: a scalar channel takes a scalar direction")
+        return
+    shape = (noise.dimension,)
+    if np.shape(signals.s0) != shape or np.shape(signals.s1) != shape:
+        raise SpecError(f"signals: the channel takes vectors of length {shape[0]}")
+    if rule.kind is RuleKind.THRESHOLD and np.shape(rule.a) != shape:
+        raise SpecError(f"rule.a: the channel takes a direction of length {shape[0]}")
+
+
 def rule_error_probs(signals: SignalDesign, rule: ReceiverRule,
                      noise: NoiseModel) -> tuple[float, float]:
-    """(P10, P01) of an arbitrary rule applied to a signal pair."""
+    """(P10, P01) of a rule applied to a signal pair that fits the channel."""
+    _check_fits(signals, rule, noise)
     if rule.kind is not RuleKind.THRESHOLD:
         return _fixed_error_probs(rule)
+    a = rule.a
     if noise.is_scalar:
-        if isinstance(signals.s0, np.ndarray):
-            raise SpecError("signals: vector signals need a covariance noise model")
-        spread = abs(rule.a) * noise.sigma
-        m0 = rule.a * signals.s0
-        m1 = rule.a * signals.s1
+        spread = abs(a) * noise.sigma
+        m0 = a * signals.s0
+        m1 = a * signals.s1
     else:
-        a = np.asarray(rule.a, dtype=float)
         spread = math.sqrt(float(a @ noise.covariance @ a))
         m0 = float(a @ signals.s0)
         m1 = float(a @ signals.s1)

@@ -158,8 +158,9 @@ def _peak_levels(power: PeakPower, zeta: int, d_star: float | None,
 
     Nash's ``levels`` are kept as they are.  Otherwise the canonical levels
     at separation ``d_star`` are oriented so the matched rule direction is
-    positive: the first level starts at its full budget and is shifted only
-    when the other budget would otherwise be exceeded.
+    positive.  One level sits at its budget root and the other the gap from
+    it: the first, unless that pushes the second past its own budget.  No
+    level is then a difference of near-equal roots, which could round past it.
     """
     if levels is not None:
         u0, u1 = levels
@@ -167,9 +168,11 @@ def _peak_levels(power: PeakPower, zeta: int, d_star: float | None,
     root0 = math.sqrt(power.p0)
     root1 = math.sqrt(power.p1)
     gap = d_star * sigma_eff
-    shift = max(0.0, root0 - root1 - gap)
-    u0 = -root0 + shift
-    return (zeta * u0, zeta * (u0 + gap)), d_star
+    if gap < root0 - root1:
+        u0, u1 = -root1 - gap, -root1
+    else:
+        u0, u1 = -root0, -root0 + gap
+    return (zeta * u0, zeta * u1), d_star
 
 
 def _solve(spec: GameSpec, concept: Concept) -> EquilibriumReport:

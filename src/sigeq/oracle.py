@@ -25,6 +25,9 @@ importing the package and ``sigeq solve``, ``sweep`` and ``dynamics`` never
 load scipy, and a scalar chunk loads it only when a sample lands in the
 guard band.  ``ndtri`` stays a module-level function that the code below
 calls through the module namespace, so a caller can swap it for a wrapper.
+
+The signal pair and the rule check their entries when they are built; their
+fit to the channel is ``detection._check_fits``, run by ``rule_error_probs``.
 """
 
 import math
@@ -39,6 +42,7 @@ from .detection import (
     RuleKind,
     SignalDesign,
     SpecError,
+    _check_fits,
     _fixed_error_probs,
     bayes_risk,
 )
@@ -207,11 +211,12 @@ def mc_estimate(signals: SignalDesign, rule: ReceiverRule, noise: NoiseModel,
                 seed: int) -> McEstimate:
     """Estimate error probabilities and risks by simulating the channel.
 
-    Half the samples go to each hypothesis.  Degenerate rules ignore the
-    observation, so their probabilities are exact and carry zero std error.
-    Vector noise is drawn through the covariance's Cholesky factor; one that
-    is positive definite by its eigenvalues but not to that factorization
-    raises a ``SpecError`` naming ``noise.covariance``.
+    Half the samples go to each hypothesis, from signals and a rule that fit
+    the channel.  Degenerate rules ignore the observation, so their
+    probabilities are exact and carry zero std error.  Vector noise is drawn
+    through the covariance's Cholesky factor; one that is positive definite
+    by its eigenvalues but not to that factorization raises a ``SpecError``
+    naming ``noise.covariance``.
     """
     tx, rx = agents
     if not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -221,18 +226,7 @@ def mc_estimate(signals: SignalDesign, rule: ReceiverRule, noise: NoiseModel,
     if n % 2:
         raise SpecError("n: must be even, half the samples go to each hypothesis")
     m = n // 2
-    if noise.is_scalar:
-        if isinstance(signals.s0, np.ndarray):
-            raise SpecError("signals: scalar channel takes scalar signals")
-    else:
-        dim = noise.dimension
-        for s in (signals.s0, signals.s1):
-            if not isinstance(s, np.ndarray) or s.shape != (dim,):
-                raise SpecError("signals: dimension mismatch with the channel")
-        if rule.kind is RuleKind.THRESHOLD:
-            a = np.asarray(rule.a, dtype=float)
-            if a.shape != (dim,):
-                raise SpecError("rule: direction dimension mismatch")
+    _check_fits(signals, rule, noise)
 
     if rule.kind is not RuleKind.THRESHOLD:
         p10, p01 = _fixed_error_probs(rule)
@@ -240,25 +234,20 @@ def mc_estimate(signals: SignalDesign, rule: ReceiverRule, noise: NoiseModel,
                           bayes_risk(tx, p10, p01), bayes_risk(rx, p10, p01),
                           0.0, 0.0, 0.0, 0.0, n, seed)
 
-    chunks = [(c * _CHUNK, min(m, (c + 1) * _CHUNK))
-              for c in range((m + _CHUNK - 1) // _CHUNK)]
-    counts = [0, 0]
     if noise.is_scalar:
-        for hyp, signal in ((0, signals.s0), (1, signals.s1)):
-            for c, (start, stop) in enumerate(chunks):
-                counts[hyp] += _count_h1_scalar(seed, hyp, c, stop - start, signal,
-                                                noise.sigma, rule.a, rule.eta)
+        count, channel = _count_h1_scalar, noise.sigma
     else:
         try:
-            chol = np.linalg.cholesky(noise.covariance)
+            channel = np.linalg.cholesky(noise.covariance)
         except np.linalg.LinAlgError:
             raise SpecError("noise.covariance: not positive definite to working "
                             "precision, the noise cannot be sampled") from None
-        a = np.asarray(rule.a, dtype=float)
-        for hyp, signal in ((0, signals.s0), (1, signals.s1)):
-            for c, (start, stop) in enumerate(chunks):
-                counts[hyp] += _count_h1_vector(seed, hyp, c, stop - start, signal,
-                                                chol, a, rule.eta)
+        count = _count_h1_vector
+    counts = [0, 0]
+    for hyp, signal in ((0, signals.s0), (1, signals.s1)):
+        for c, start in enumerate(range(0, m, _CHUNK)):
+            counts[hyp] += count(seed, hyp, c, min(_CHUNK, m - start), signal,
+                                 channel, rule.a, rule.eta)
 
     p10_hat = counts[0] / m
     p01_hat = (m - counts[1]) / m

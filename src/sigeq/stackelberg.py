@@ -34,6 +34,7 @@ from .detection import (
     NoiseModel,
     PeakPower,
     SpecError,
+    _real,
     q_function,
 )
 
@@ -99,7 +100,7 @@ def classify_transmitter_preference(dq: DerivedQuantities) -> tuple[str, float]:
 
 
 def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
+    value = _real(name, value)
     if not 0.0 < value < 1.0:
         raise SpecError(f"{name}: must lie strictly inside (0, 1)")
     return value
@@ -127,7 +128,7 @@ def preset_biased_cost(alpha: float, prior0: float = 0.5, sigma: float = 1.0,
     errors and 1 - alpha on correct decisions, so alpha > 1/2 aligns the
     agents and alpha < 1/2 opposes them.
     """
-    alpha = float(alpha)
+    alpha = _real("alpha", alpha)
     if not 0.0 <= alpha <= 1.0:
         raise SpecError("alpha: must lie in [0, 1]")
     prior0 = _check_unit_interval("prior0", prior0)

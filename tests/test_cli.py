@@ -290,8 +290,8 @@ def test_dynamics_misaligned_costs_oscillate():
 def test_dynamics_rejects_a_zero_starting_direction():
     code, _, err = run_cli(["dynamics", "--config", CONFIGS / "demo.json",
                             "--init-a", 0])
-    assert code == 2
-    assert "error:" in err and "nonzero" in err
+    # the rule names its own bad direction
+    assert (code, err) == (2, "error: rule: a threshold rule needs a nonzero direction\n")
 
 
 # ---------------------------------------------------------------------------
@@ -390,28 +390,49 @@ def test_all_shipped_configs_load():
         assert isinstance(spec, GameSpec)
 
 
-@pytest.mark.parametrize("doc", [
-    "{broken",
-    "[1, 2]",
-    {"preset": "mystery"},
-    {"transmitter": {"prior0": 0.5, "costs": [[0, 1], [1, 0]]}},
-    {"transmitter": {"prior0": 0.5, "costs": [[0, 1], [1, 0]]},
-     "receiver": {"prior0": 0.5},
-     "noise": {"sigma": 1.0}, "power": {"p0": 1.0, "p1": 1.0}},
-    {"transmitter": {"prior0": 0.5, "costs": [[0, 1], [1, 0]]},
-     "receiver": {"prior0": 0.5, "costs": [[0, 1], [1, 0]]},
-     "noise": {"sigma": 1.0, "covariance": [[1.0]]},
-     "power": {"p0": 1.0, "p1": 1.0}},
-    {"transmitter": {"prior0": 0.5, "costs": [[0, 1], [1, 0]]},
-     "receiver": {"prior0": 0.5, "costs": [[0, 1], [1, 0]]},
-     "noise": {"sigma": 1.0}, "power": {"watts": 2.0}},
-])
+_AGENT = {"prior0": 0.5, "costs": [[0, 1], [1, 0]]}
+_GAME = {"transmitter": _AGENT, "receiver": _AGENT, "noise": {"sigma": 1.0},
+         "power": {"p0": 1.0, "p1": 1.0}}
+
+
+# each message names its field once: the spec type names it, and the reader
+# adds only the agent or the preset it sits in
+_MALFORMED = [
+    ("{broken", "config: invalid JSON: Expecting property name enclosed in double"
+                " quotes: line 1 column 2 (char 1)"),
+    ("[1, 2]", "config: expected a JSON object"),
+    ({"preset": "mystery"}, "preset: unknown preset 'mystery'"),
+    ({"transmitter": _AGENT}, "config: missing field 'receiver'"),
+    ({**_GAME, "receiver": {"prior0": 0.5}}, "receiver: missing field 'costs'"),
+    ({**_GAME, "noise": {"sigma": 1.0, "covariance": [[1.0]]}},
+     "noise: provide exactly one of 'sigma' or 'covariance'"),
+    ({**_GAME, "power": {"watts": 2.0}}, "power: provide 'p0' and 'p1', or 'p_avg'"),
+    ({"preset": ["x"]}, "preset: unknown preset ['x']"),
+    ({"preset": "subjective_priors", "prior0_t": 0.3, "prior0_r": 0.6, "costs": 5},
+     "preset subjective_priors: costs: expected a 2x2 matrix indexed [decision][truth]"),
+    ({"preset": "deception", "sigma": "x"}, "preset deception: noise.sigma: must be a real number"),
+    ({**_GAME, "transmitter": {"prior0": "x", "costs": [[0, 1], [1, 0]]}},
+     "transmitter: prior0: must be a real number"),
+    ({**_GAME, "receiver": {"prior0": 0.5, "costs": [[0, 1], [1]]}},
+     "receiver: costs: expected a 2x2 matrix indexed [decision][truth]"),
+    ({**_GAME, "noise": {"sigma": 0.0}}, "noise.sigma: must be strictly positive"),
+    ({**_GAME, "power": {"p0": 0.0, "p1": 1.0}}, "power.p0: must be strictly positive"),
+    ({**_GAME, "power": {"p0": 1.0, "p1": "x"}}, "power.p1: must be a real number"),
+    ({**_GAME, "dimension": "x"}, "dimension: must be a real number"),
+    ({**_GAME, "dimension": 0.5}, "dimension: must be a positive integer"),
+    ({**_GAME, "dimension": 2}, "dimension: must match the noise model dimension"),
+]
+_MALFORMED_MESSAGES = {doc if isinstance(doc, str) else json.dumps(doc): message
+                       for doc, message in _MALFORMED}
+
+
+@pytest.mark.parametrize("doc", [doc for doc, _ in _MALFORMED])
 def test_malformed_configs_exit_two(tmp_path, doc):
+    text = doc if isinstance(doc, str) else json.dumps(doc)
     path = tmp_path / "bad.json"
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    code, _, err = run_cli(["solve", "--config", path, "--concept", "team"])
-    assert code == 2
-    assert err.startswith("error:")
+    path.write_text(text)
+    code, out, err = run_cli(["solve", "--config", path, "--concept", "team"])
+    assert (code, out, err) == (2, "", f"error: {_MALFORMED_MESSAGES[text]}\n")
 
 
 def test_vector_average_power_config_exits_two_naming_power(tmp_path):
@@ -423,7 +444,7 @@ def test_vector_average_power_config_exits_two_naming_power(tmp_path):
     code, out, err = run_cli(["solve", "--config", path, "--concept", "nash"])
     assert code == 2 and out == ""
     # the config is rejected as it loads, before any solve
-    assert err == ("error: config: power: the average-power budget is defined"
+    assert err == ("error: power: the average-power budget is defined"
                    " for scalar channels only\n")
 
 

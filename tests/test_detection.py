@@ -29,6 +29,7 @@ from sigeq import (
     d_max_of,
     derived_quantities,
     informative_risks,
+    mc_estimate,
     optimal_receiver_rule,
     prior_only_rule,
     q_function,
@@ -165,10 +166,8 @@ def test_game_spec_rejects_an_average_budget_on_a_vector_channel(dimension):
         "power: the average-power budget is defined for scalar channels only")
 
 
-def _covariance_with(bad: float) -> NoiseModel:
-    cov = np.eye(2)
-    cov[0, 1] = cov[1, 0] = bad
-    return NoiseModel.matrix(cov)
+def _covariance_with(bad) -> NoiseModel:
+    return NoiseModel.matrix([[1.0, bad], [bad, 1.0]])
 
 
 @pytest.mark.parametrize("field, build", [
@@ -180,12 +179,101 @@ def _covariance_with(bad: float) -> NoiseModel:
     ("noise.covariance", _covariance_with),
     ("rule.eta", lambda bad: ReceiverRule.threshold(1.0, bad)),
     ("rule.a", lambda bad: ReceiverRule.threshold(bad, 0.0)),
-    ("rule.a", lambda bad: ReceiverRule.threshold(np.array([1.0, bad]), 0.0)),
+    ("rule.a", lambda bad: ReceiverRule.threshold([1.0, bad], 0.0)),
 ])
 def test_non_finite_values_are_rejected_naming_the_field(field, build):
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(SpecError, match=f"{field}.* must be finite"):
             build(bad)
+    # what does not convert to a float is refused by its field's name, once;
+    # None inside a list converts to nan, which is not finite, and a sigma of
+    # None is no sigma at all
+    for bad in ("x", None, [1.0, [2.0]]):
+        with pytest.raises(SpecError) as info:
+            build(bad)
+        message = str(info.value)
+        if bad is None and field == "noise.sigma":
+            assert message == "noise: provide exactly one of sigma or covariance"
+            continue
+        # the name before the first colon is the field, or ends with it
+        named = message.split(": ")[0]
+        assert named.endswith(field) and message.count(field) == 1, message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AgentParams(0.5, 0.5, 5.0),
+     "costs: expected a 2x2 matrix indexed [decision][truth]"),
+    (lambda: AgentParams(0.5, 0.5, [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]),
+     "costs: expected a 2x2 matrix indexed [decision][truth]"),
+    (lambda: AgentParams("x", 0.5, ((0.0, 1.0), (1.0, 0.0))), "prior0: must be a real number"),
+    (lambda: AgentParams(0.5, None, ((0.0, 1.0), (1.0, 0.0))), "prior1: must be a real number"),
+    (lambda: AgentParams.from_prior0([0.5], ((0.0, 1.0), (1.0, 0.0))),
+     "prior0: must be a real number"),
+    (lambda: NoiseModel.matrix(5.0), "noise.covariance: must be a square matrix"),
+    (lambda: GameSpec(DEMO_TX, DEMO_RX, NoiseModel.scalar(1.0), PeakPower(1.0, 1.0), "x"),
+     "dimension: must be a real number"),
+    (lambda: GameSpec(DEMO_TX, DEMO_RX, NoiseModel.scalar(1.0), PeakPower(1.0, 1.0), 1.5),
+     "dimension: must be a positive integer"),
+    (lambda: GameSpec(DEMO_TX, DEMO_RX, NoiseModel.scalar(1.0), PeakPower(1.0, 1.0), 0),
+     "dimension: must be a positive integer"),
+    (lambda: PeakPower(1.0, 0.0), "power.p1: must be strictly positive"),
+    (lambda: AveragePower(-1.0), "power.p_avg: must be strictly positive"),
+    (lambda: SignalDesign(0.0, None),
+     "signals.s1: must be a real number or a regular array of them"),
+    (lambda: SignalDesign([0.0, [1.0]], [1.0, 0.0]),
+     "signals.s0: must be a real number or a regular array of them"),
+])
+def test_spec_types_name_their_bad_field(build, message):
+    with pytest.raises(SpecError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_spec_types_convert_their_inputs():
+    agent = AgentParams(np.float64(0.25), 0.75, [[0, np.int64(1)], (2, 0)])
+    assert agent == AgentParams(0.25, 0.75, ((0.0, 1.0), (2.0, 0.0)))
+    assert type(agent.prior0) is float and type(agent.costs[0][1]) is float
+    spec = GameSpec(agent, agent, NoiseModel.matrix([[2.0]]), PeakPower(1, 1), np.int64(1))
+    assert type(spec.dimension) is int and spec.dimension == 1
+    assert not spec.noise.covariance.flags.writeable
+    pair = SignalDesign(np.float64(-1.0), [1, 2])
+    assert type(pair.s0) is float and pair.s1.dtype == float
+    assert not pair.s1.flags.writeable
+
+
+_SCALAR = NoiseModel.scalar(1.0)
+_PLANE = NoiseModel.matrix(np.eye(2))
+_FITS = [
+    (_SCALAR, SignalDesign([-1.0, 0.0], [1.0, 0.0]), ReceiverRule.threshold(1.0, 0.0),
+     "signals: a scalar channel takes scalar signals"),
+    (_SCALAR, SignalDesign(-1.0, 1.0), ReceiverRule.threshold([1.0, 0.0], 0.0),
+     "rule.a: a scalar channel takes a scalar direction"),
+    (_PLANE, SignalDesign(-1.0, 1.0), ReceiverRule.threshold([1.0, 0.0], 0.0),
+     "signals: the channel takes vectors of length 2"),
+    (_PLANE, SignalDesign([-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+     ReceiverRule.threshold([1.0, 0.0], 0.0), "signals: the channel takes vectors of length 2"),
+    (_PLANE, SignalDesign([-1.0, 0.0], [1.0, 0.0]), ReceiverRule.threshold([1.0, 0.0, 0.0], 0.0),
+     "rule.a: the channel takes a direction of length 2"),
+    (_PLANE, SignalDesign([-1.0, 0.0], [1.0, 0.0]), ReceiverRule.threshold(1.0, 0.0),
+     "rule.a: the channel takes a direction of length 2"),
+    (_PLANE, SignalDesign(0.0, 0.0), ReceiverRule.always_h1(),
+     "signals: the channel takes vectors of length 2"),
+]
+
+
+@pytest.mark.parametrize("evaluate", ["risk_pair", "rule_error_probs", "mc_estimate"])
+@pytest.mark.parametrize("noise, signals, rule, message", _FITS)
+def test_signals_and_rules_that_do_not_fit_the_channel_are_rejected(
+        evaluate, noise, signals, rule, message):
+    calls = {
+        "risk_pair": lambda: risk_pair(DEMO_TX, DEMO_RX, signals, rule, noise),
+        "rule_error_probs": lambda: rule_error_probs(signals, rule, noise),
+        "mc_estimate": lambda: mc_estimate(signals, rule, noise, (DEMO_TX, DEMO_RX),
+                                           10_000, 0),
+    }
+    with pytest.raises(SpecError) as info:
+        calls[evaluate]()
+    assert str(info.value) == message
 
 
 def test_check_power_budgets():
@@ -397,6 +485,18 @@ def test_receiver_rule_validation():
     rule = ReceiverRule.threshold([3.0, 4.0], 10.0)
     assert np.array_equal(rule.a, [3.0, 4.0]) and rule.eta == 10.0
     assert not rule.a.flags.writeable
+    # the constructor converts a list itself, as threshold does
+    built = ReceiverRule(RuleKind.THRESHOLD, [1.0, 2.0], 0.0)
+    assert rules_equal(built, ReceiverRule.threshold([1.0, 2.0], 0.0))
+    assert not built.a.flags.writeable
+    for bad, message in ((("x", 0.0), "rule.a: must be a real number or a regular array of them"),
+                         ((1.0, "x"), "rule.eta: must be a real number")):
+        with pytest.raises(SpecError) as exc:
+            ReceiverRule.threshold(*bad)
+        assert str(exc.value) == message
+    with pytest.raises(SpecError) as exc:
+        SignalDesign("a", 1.0)
+    assert str(exc.value) == "signals.s0: must be a real number or a regular array of them"
 
 
 def test_rule_validity_reads_its_entries():

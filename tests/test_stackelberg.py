@@ -22,6 +22,7 @@ from sigeq import (
     SignalDesign,
     SpecError,
     Tau,
+    check_power,
     classify_transmitter_preference,
     conditional_error_probs,
     derived_quantities,
@@ -36,7 +37,7 @@ from sigeq import (
     single_cost_perturbations,
     solve,
 )
-from conftest import (demo_spec, fragile_team_spec, grid_search_transmitter,
+from conftest import (demo_spec, fragile_team_spec, grid_search_transmitter, random_agent,
                       random_scalar_spec, signals_equal, team_point_spec)
 
 D_STAR_DEMO = 0.47041885791917976
@@ -409,3 +410,48 @@ def test_deception_preset_prefers_babbling():
     for prior0 in (0.0, 1.0, 1.5):
         with pytest.raises(SpecError, match=r"^prior0: must lie strictly inside \(0, 1\)$"):
             preset_deception(prior0)
+
+
+# ---------------------------------------------------------------------------
+# peak levels at extreme budget ratios
+
+
+def test_case3_levels_at_a_huge_budget_ratio_stay_within_the_small_budget():
+    # one game of the wide draw below: p0 / p1 = 5.8e15, so the first budget
+    # root is 1.3e2 times the gap while the second is 1e-2.  The levels were
+    # once the first root shifted by root0 - root1 - gap, which rounds, and
+    # the second level came out at -0.010043142387046622, past sqrt(p1).
+    tx = AgentParams(0.29561096004840337, 0.7043890399515966,
+                     ((0.9380653586528731, 0.6464457916749782),
+                      (1.0179915420394348, 1.7599496977851004)))
+    rx = AgentParams(0.5310957274864044, 0.46890427251359557,
+                     ((0.4304461264824473, 1.9043006526055557),
+                      (0.7725936553094739, 1.2597191925216735)))
+    sigma = 1.2174924492040897
+    spec = GameSpec(tx, rx, NoiseModel.scalar(sigma),
+                    PeakPower(584725133994.453, 0.0001008647076829391))
+    report = solve(spec, Concept.STACKELBERG)
+    assert report.case_label == "case-3"
+    check_power(report.signals, spec.power, tx)
+    # the second level sits at its budget root, the first the gap below it
+    s0, s1 = report.signals.s0, report.signals.s1
+    assert s1 == -math.sqrt(spec.power.p1)
+    assert s1 - s0 == pytest.approx(report.d_star * sigma, rel=1e-15)
+
+
+def test_case3_levels_stay_within_both_budgets_over_wide_magnitudes():
+    # budgets and noise over many decades: p0 = 10^U(-3, 12),
+    # p1 = 10^U(-12, 3), sigma = 10^U(-1, 3); the shifted levels once broke
+    # p1 in about 5% of the case-3 reports of such a draw
+    rng = np.random.default_rng(3)
+    case3 = 0
+    for _ in range(20_000):
+        tx, rx = random_agent(rng), random_agent(rng)
+        p0, p1, sigma = (float(10.0 ** rng.uniform(lo, hi))
+                         for lo, hi in ((-3, 12), (-12, 3), (-1, 3)))
+        spec = GameSpec(tx, rx, NoiseModel.scalar(sigma), PeakPower(p0, p1))
+        report = solve(spec, Concept.STACKELBERG)
+        if report.case_label == "case-3":
+            case3 += 1
+            check_power(report.signals, spec.power, tx)
+    assert case3 > 500

@@ -15,6 +15,7 @@ from sigeq import (
     RuleKind,
     SignalDesign,
     SpecError,
+    check_power,
     derived_quantities,
     mc_estimate,
     optimal_receiver_rule,
@@ -26,6 +27,7 @@ from conftest import (
     DEMO_RX,
     DEMO_TX,
     demo_spec,
+    load_script,
     matched_rule,
     random_scalar_spec,
     random_spd_matrix,
@@ -332,3 +334,34 @@ def test_a_covariance_singular_to_working_precision_raises_spec_errors():
     with pytest.raises(SpecError, match="^noise.covariance: not positive definite"):
         mc_estimate(pair, ReceiverRule.threshold([1.0, 0.0], 0.0), noise,
                     (agent, agent), 10_000, 0)
+
+
+# ---------------------------------------------------------------------------
+# power budgets of vector pairs
+
+
+def test_every_vector_report_of_the_golden_games_is_within_its_budget():
+    golden = load_script("golden")
+    informative = 0
+    for cell, spec, _ in golden.games():
+        if cell["channel"] != "vector":
+            continue
+        for concept in Concept:
+            try:
+                report = solve(spec, concept)
+            except SpecError:
+                continue  # team play of mismatched agents
+            assert isinstance(report.signals.s0, np.ndarray)
+            check_power(report.signals, spec.power, spec.transmitter)
+            informative += report.informative
+    assert informative > 100
+
+
+def test_a_vector_pair_one_percent_over_a_peak_budget_is_rejected():
+    axis = np.array([0.6, 0.8])
+    power = PeakPower(2.0, 0.5)
+    check_power(SignalDesign(-math.sqrt(2.0) * axis, math.sqrt(0.5) * axis), power, DEMO_TX)
+    for pair in (SignalDesign(-math.sqrt(2.02) * axis, math.sqrt(0.5) * axis),
+                 SignalDesign(-math.sqrt(2.0) * axis, math.sqrt(0.505) * axis)):
+        with pytest.raises(SpecError, match="^signals: peak power budget exceeded$"):
+            check_power(pair, power, DEMO_TX)
