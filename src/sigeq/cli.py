@@ -67,18 +67,23 @@ def _read_json(path: str) -> dict:
     return doc
 
 
+def _named_agent(path: str, build, *args) -> AgentParams:
+    """``build(*args)``, with ``path`` (the agent) put before a bad field."""
+    try:
+        return build(*args)
+    except SpecError as exc:
+        raise SpecError(f"{path}: {exc}") from exc
+
+
 def _agent_from(doc, path: str) -> AgentParams:
     if not isinstance(doc, dict):
         raise SpecError(f"{path}: expected an object")
     for key in ("prior0", "costs"):
         if key not in doc:
             raise SpecError(f"{path}: missing field '{key}'")
-    try:
-        if "prior1" in doc:
-            return AgentParams(doc["prior0"], doc["prior1"], doc["costs"])
-        return AgentParams.from_prior0(doc["prior0"], doc["costs"])
-    except SpecError as exc:
-        raise SpecError(f"{path}: {exc}") from exc
+    if "prior1" in doc:
+        return _named_agent(path, AgentParams, doc["prior0"], doc["prior1"], doc["costs"])
+    return _named_agent(path, AgentParams.from_prior0, doc["prior0"], doc["costs"])
 
 
 def _noise_from(doc) -> NoiseModel:
@@ -159,7 +164,8 @@ _COST_FIELDS = {"c00": (0, 0), "c01": (0, 1), "c10": (1, 0), "c11": (1, 1)}
 def _sweep_spec(doc: dict, base: GameSpec, param: str, value: float) -> GameSpec:
     if param in _EPS_PARAMS:
         pert = Perturbation(**{_EPS_PARAMS[param]: value})
-        return replace(base, transmitter=pert.applied_to(base.transmitter))
+        return replace(base, transmitter=_named_agent(
+            "transmitter", pert.applied_to, base.transmitter))
     if param == "alpha":
         if doc.get("preset") != "biased_cost":
             raise SpecError("param alpha: config must use the biased_cost preset")
@@ -185,12 +191,12 @@ def _sweep_spec(doc: dict, base: GameSpec, param: str, value: float) -> GameSpec
     if head in ("transmitter", "receiver"):
         agent = getattr(base, head)
         if tail == "prior0":
-            new = AgentParams.from_prior0(value, agent.costs)
+            new = _named_agent(head, AgentParams.from_prior0, value, agent.costs)
         elif tail in _COST_FIELDS:
             i, j = _COST_FIELDS[tail]
             rows = [list(agent.costs[0]), list(agent.costs[1])]
             rows[i][j] = value
-            new = AgentParams(agent.prior0, agent.prior1, rows)
+            new = _named_agent(head, AgentParams, agent.prior0, agent.prior1, rows)
         else:
             raise SpecError(f"param {param}: unknown field")
         return replace(base, **{head: new})

@@ -27,13 +27,20 @@ shared by every solver:
 It imports no other module of the package: the choosers and realizers sit
 above it, and ``equilibrium`` above them.
 
+Every record type of the package, these and the reports, traces and scans
+above, is declared with ``_record``: a frozen dataclass with slots, whose
+``__init__`` stores each field through its slot.  Records are immutable and
+have no instance ``__dict__``, so ``vars()`` and new attributes do not work
+on them; ``dataclasses.replace``, ``copy`` and ``pickle`` do, and ``replace``
+runs the checks of ``__post_init__`` again.
+
 Cost convention: ``costs[j][i]`` is the cost of deciding Hj when Hi is
 true.  All sign classifications use exact comparisons; no epsilon is
 applied to cost margins.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -103,11 +110,56 @@ def _real(name: str, value, arrays: bool = False) -> float | np.ndarray:
         raise SpecError(f"{name}: must be {kind}") from None
 
 
+def _record(cls=None, *, eq: bool = True):
+    """Declare ``cls`` a frozen dataclass with slots, as every record of the
+    package is.
+
+    The dataclass's own ``__init__`` would make one ``object.__setattr__``
+    call per field, the larger part of building a small record.  In its place
+    goes one with the same signature and defaults, which stores each field
+    through its slot's descriptor, past the frozen ``__setattr__``, and then
+    runs ``__post_init__``.
+    """
+    if cls is None:
+        return lambda cls: _record(cls, eq=eq)
+    cls = dataclass(cls, init=False, frozen=True, slots=True, eq=eq)
+    scope, params, body = {}, [], []
+    for f in fields(cls):
+        scope[f"_set_{f.name}"] = vars(cls)[f.name].__set__
+        scope[f"_default_{f.name}"] = f.default
+        if f.init:
+            params.append(f.name if f.default is MISSING else f"{f.name}=_default_{f.name}")
+            body.append(f"_set_{f.name}(self, {f.name})")
+        elif f.default is not MISSING:
+            body.append(f"_set_{f.name}(self, _default_{f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n    "
+         + "\n    ".join(body), scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {f.name: f.type for f in fields(cls) if f.init} | {"return": None}
+    cls.__init__ = init
+    # the dataclass's own guards test the class from before the slots were
+    # added, so a name that is not a field raised a TypeError from super()
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
+
+def _frozen_setattr(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # game description
 
 
-@dataclass(frozen=True)
+@_record
 class AgentParams:
     """Priors and decision costs of one agent.
 
@@ -131,25 +183,25 @@ class AgentParams:
     miss_margin: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prior0", _real("prior0", self.prior0))
-        object.__setattr__(self, "prior1", _real("prior1", self.prior1))
+        prior0 = _real("prior0", self.prior0)
+        prior1 = _real("prior1", self.prior1)
         try:
             (c00, c01), (c10, c11) = self.costs
         except (TypeError, ValueError):
             raise SpecError("costs: expected a 2x2 matrix indexed [decision][truth]") from None
         c00, c01, c10, c11 = flat = [_real("costs", c) for c in (c00, c01, c10, c11)]
-        object.__setattr__(self, "costs", ((c00, c01), (c10, c11)))
-        if not (self.prior0 > 0.0 and self.prior1 > 0.0):
+        if not (prior0 > 0.0 and prior1 > 0.0):
             raise SpecError("prior0: priors must be strictly positive")
-        if abs(self.prior0 + self.prior1 - 1.0) > _PRIOR_TOL:
+        if abs(prior0 + prior1 - 1.0) > _PRIOR_TOL:
             raise SpecError("prior0: prior0 + prior1 must equal 1 within 1e-12")
         if not all(map(math.isfinite, flat)):
             raise SpecError("costs: entries must be finite")
         if min(flat) < 0.0:
             raise SpecError("costs: entries must be nonnegative")
-        # past the frozen guard, as object.__setattr__ would, in one call
-        vars(self).update(c00=c00, c01=c01, c10=c10, c11=c11,
-                          false_alarm_margin=c10 - c00, miss_margin=c01 - c11)
+        # every field, in order, through its slot, past the frozen guard
+        for store, value in zip(_AGENT_STORES, (prior0, prior1, ((c00, c01), (c10, c11)),
+                                                c00, c01, c10, c11, c10 - c00, c01 - c11)):
+            store(self, value)
 
     @classmethod
     def from_prior0(
@@ -157,6 +209,9 @@ class AgentParams:
     ) -> "AgentParams":
         prior0 = _real("prior0", prior0)
         return cls(prior0, 1.0 - prior0, costs)
+
+
+_AGENT_STORES = tuple(vars(AgentParams)[f.name].__set__ for f in fields(AgentParams))
 
 
 def _signed_pair(a: np.ndarray, values: np.ndarray,
@@ -182,7 +237,7 @@ def _signed_pair(a: np.ndarray, values: np.ndarray,
     return value, vec
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class NoiseModel:
     """Additive Gaussian noise: scalar N(0, sigma^2) or vector N(0, covariance).
 
@@ -244,7 +299,7 @@ class NoiseModel:
         return 1 if self.is_scalar else int(self.covariance.shape[0])
 
 
-@dataclass(frozen=True)
+@_record
 class PeakPower:
     """Per-signal magnitude budget: ||S_i||^2 <= p_i."""
 
@@ -261,7 +316,7 @@ class PeakPower:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@_record
 class AveragePower:
     """Prior-weighted budget: pi0 S0^2 + pi1 S1^2 <= p_avg (transmitter priors)."""
 
@@ -275,7 +330,7 @@ class AveragePower:
             raise SpecError("power.p_avg: must be strictly positive")
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class GameSpec:
     """Full description of one signaling game instance."""
 
@@ -286,6 +341,9 @@ class GameSpec:
     dimension: int = 1
 
     def __post_init__(self) -> None:
+        for name, kind, what in _GAME_PARTS:
+            if not isinstance(getattr(self, name), kind):
+                raise SpecError(f"{name}: must be {what}")
         dimension = _real("dimension", self.dimension)
         if not (dimension.is_integer() and dimension >= 1.0):
             raise SpecError("dimension: must be a positive integer")
@@ -295,6 +353,12 @@ class GameSpec:
         if isinstance(self.power, AveragePower) and not self.noise.is_scalar:
             raise SpecError(
                 "power: the average-power budget is defined for scalar channels only")
+
+
+_GAME_PARTS = (("transmitter", AgentParams, "an AgentParams"),
+               ("receiver", AgentParams, "an AgentParams"),
+               ("noise", NoiseModel, "a NoiseModel"),
+               ("power", (PeakPower, AveragePower), "a PeakPower or an AveragePower"))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +372,7 @@ class RuleKind(Enum):
     INDIFFERENT = "indifferent"
 
 
-@dataclass(frozen=True)
+@_record
 class Tau:
     """Receiver threshold ratio.
 
@@ -330,7 +394,7 @@ class Tau:
         return self.value
 
 
-@dataclass(frozen=True)
+@_record
 class DerivedQuantities:
     """Scalars the equilibrium analysis runs on, derived once per solve.
 
@@ -417,7 +481,7 @@ def derived_quantities(spec: GameSpec) -> DerivedQuantities:
 # decision rules and signal pairs
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class ReceiverRule:
     """Decision rule.  THRESHOLD decides H1 iff a . y > eta, with finite
     entries, a not all zero and a finite eta; scaling (a, eta) by any positive
@@ -474,7 +538,7 @@ _FIXED_RULES = {
 }
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class SignalDesign:
     """A transmitter signal pair; floats for scalar channels, arrays otherwise."""
 

@@ -24,7 +24,6 @@ above them.  Drivers such as the robustness scan (``team``) sit above this.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -42,6 +41,7 @@ from .detection import (
     SpecError,
     _FIXED_RULES,
     _fixed_error_probs,
+    _record,
     bayes_risk,
     conditional_error_probs,
     derived_quantities,
@@ -66,7 +66,7 @@ class Concept(Enum):
     NASH = "nash"
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class EquilibriumReport:
     """Outcome of one solve.
 

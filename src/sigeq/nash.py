@@ -20,7 +20,6 @@ the reports.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .detection import (
@@ -32,6 +31,8 @@ from .detection import (
     RuleKind,
     SignalDesign,
     SpecError,
+    _check_fits,
+    _record,
     _sign,
     derived_quantities,
     optimal_receiver_rule,
@@ -113,7 +114,7 @@ class OutcomeKind(Enum):
     OSCILLATING = "oscillating"
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class DynamicsTrace:
     """Alternating best-response iterates and how they terminated.
 
@@ -157,6 +158,8 @@ def best_response_dynamics(spec: GameSpec,
         init_rule = ReceiverRule.threshold(1.0, 0.0)
     if init_rule.kind is not RuleKind.THRESHOLD:
         raise SpecError("init_rule: dynamics start from a threshold rule")
+    # the zero pair fits the scalar channel, so this checks the rule's direction
+    _check_fits(SignalDesign(0.0, 0.0), init_rule, spec.noise)
     prev_rule = init_rule
     iterates: list[tuple[SignalDesign, ReceiverRule]] = []
     for step in (1, 2, 3):

@@ -31,7 +31,6 @@ fit to the channel is ``detection._check_fits``, run by ``rule_error_probs``.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from .detection import (
     SpecError,
     _check_fits,
     _fixed_error_probs,
+    _record,
     bayes_risk,
 )
 
@@ -66,7 +66,7 @@ _Z_REACH = 8.25
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@_record
 class McEstimate:
     """Empirical error probabilities and risks with per-quantity std errors."""
 

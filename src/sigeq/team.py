@@ -16,7 +16,7 @@ full d_max, while the peak-power Nash pair does not move at all.  The scan
 drives the pipeline, so this module sits above ``equilibrium``.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable
 
 from .detection import (
@@ -24,6 +24,7 @@ from .detection import (
     GameSpec,
     MismatchedAgentsError,
     SpecError,
+    _record,
     derived_quantities,
 )
 from .equilibrium import Concept, EquilibriumReport, _solve
@@ -45,7 +46,7 @@ def require_identical_agents(spec: GameSpec) -> None:
         )
 
 
-@dataclass(frozen=True)
+@_record
 class Perturbation:
     """Additive offsets applied to the receiver's parameters to build a
     perturbed transmitter.  One prior offset moves prior0 by +eps_prior0 and
@@ -78,14 +79,14 @@ def single_cost_perturbations(magnitude: float) -> tuple[Perturbation, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class ScanEntry:
     perturbation: Perturbation
     report: EquilibriumReport | None
     error: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class RobustnessScan:
     """The base solve and one entry per perturbation, in the given order.
 

@@ -264,6 +264,32 @@ def test_sweep_rebinds_each_field_or_names_its_error(config, concept, param, exp
                                 _fmt(rep.risk_r), rep.case_label])
 
 
+# (param, first value, the agent as a config holding that value, message)
+_BAD_REBINDINGS = [
+    ("transmitter.c10", -1, {"prior0": 0.25, "costs": [[0.6, 0.4], [-1, 0.6]]},
+     "transmitter: costs: entries must be nonnegative"),
+    ("receiver.prior0", 1.5, {"prior0": 1.5, "costs": [[0.0, 0.4], [0.9, 0.0]]},
+     "receiver: prior0: priors must be strictly positive"),
+    ("eps10", -5, {"prior0": 0.25, "costs": [[0.6, 0.4], [-4.6, 0.6]]},
+     "transmitter: costs: entries must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("param, lo, agent, message", _BAD_REBINDINGS,
+                         ids=[param for param, *_ in _BAD_REBINDINGS])
+def test_sweep_names_the_agent_of_a_bad_rebound_value(tmp_path, param, lo, agent, message):
+    code, out, err = run_cli(["sweep", "--config", CONFIGS / "demo.json", "--concept", "nash",
+                              "--param", param, "--min", lo, "--max", 1, "--steps", 3])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    # the same value read from a config gives the same message
+    doc = json.loads((CONFIGS / "demo.json").read_text())
+    doc["receiver" if param.startswith("receiver") else "transmitter"] = agent
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["solve", "--config", path, "--concept", "nash"]) == (
+        2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # dynamics
 

@@ -229,6 +229,23 @@ def test_spec_types_name_their_bad_field(build, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("parts, message", [
+    ({"transmitter": None}, "transmitter: must be an AgentParams"),
+    ({"receiver": PeakPower(1.0, 1.0)}, "receiver: must be an AgentParams"),
+    ({"noise": 1.0}, "noise: must be a NoiseModel"),
+    ({"power": None}, "power: must be a PeakPower or an AveragePower"),
+    ({"power": 1.0}, "power: must be a PeakPower or an AveragePower"),
+], ids=["transmitter-none", "receiver-budget", "noise-float", "power-none", "power-float"])
+def test_game_spec_checks_the_type_of_each_part(parts, message):
+    # a None agent or budget used to pass and break the solve with an
+    # AttributeError; a float noise broke the dimension check
+    kwargs = {"transmitter": DEMO_TX, "receiver": DEMO_RX,
+              "noise": NoiseModel.scalar(1.0), "power": PeakPower(1.0, 1.0)} | parts
+    with pytest.raises(SpecError) as info:
+        GameSpec(**kwargs)
+    assert str(info.value) == message
+
+
 def test_spec_types_convert_their_inputs():
     agent = AgentParams(np.float64(0.25), 0.75, [[0, np.int64(1)], (2, 0)])
     assert agent == AgentParams(0.25, 0.75, ((0.0, 1.0), (2.0, 0.0)))

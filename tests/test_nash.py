@@ -281,6 +281,14 @@ def test_dynamics_argument_validation():
         best_response_dynamics(degenerate)
 
 
+def test_dynamics_reject_a_vector_starting_rule_on_the_scalar_channel():
+    # the transmitter's response read the direction's sign, which numpy
+    # refused for an array
+    with pytest.raises(SpecError) as info:
+        best_response_dynamics(preset_biased_cost(0.2), ReceiverRule.threshold([1.0, 2.0], 0.0))
+    assert str(info.value) == "rule.a: a scalar channel takes a scalar direction"
+
+
 def _edge_agent(rng):
     """An agent whose costs may tie (zero margins): drawn from {0, 0.5, 1}
     half the time, else continuously."""

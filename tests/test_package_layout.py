@@ -97,6 +97,44 @@ def test_the_one_deferred_import_is_scipy_special_in_the_oracle():
     assert deferred == {("oracle", "scipy.special")}
 
 
+RECORDS = {
+    "AgentParams", "NoiseModel", "PeakPower", "AveragePower", "GameSpec", "Tau",
+    "DerivedQuantities", "ReceiverRule", "SignalDesign", "EquilibriumReport",
+    "DynamicsTrace", "McEstimate", "Perturbation", "ScanEntry", "RobustnessScan",
+}
+_DATACLASS_MAKERS = {"dataclass", "make_dataclass"}
+
+
+def test_every_record_is_declared_with_the_one_decorator():
+    """Only ``detection._record`` applies ``dataclass``, so no record falls back
+    to the dataclass's own ``__init__``, one ``object.__setattr__`` per field."""
+    declared = set()
+    for name, tree in _modules().items():
+        inside = set()
+        if name == "detection":
+            record = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "_record")
+            inside = {id(node) for node in ast.walk(record)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used = node.id
+            elif isinstance(node, ast.Attribute):
+                used = node.attr
+            elif isinstance(node, ast.alias) and name != "detection":
+                used = node.name
+            else:
+                used = None
+            assert used not in _DATACLASS_MAKERS or id(node) in inside, (
+                f"{name}.py:{getattr(node, 'lineno', '?')}: {used} outside "
+                "detection._record; declare the record with @_record")
+            if isinstance(node, ast.ClassDef):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    if isinstance(target, ast.Name) and target.id == "_record":
+                        declared.add(node.name)
+    assert declared == RECORDS
+
+
 def test_public_names_are_pinned():
     public = {name for name, obj in vars(sigeq).items()
               if not name.startswith("_") and not inspect.ismodule(obj)}

@@ -45,6 +45,23 @@ def test_tracer_counts_one_solve_per_channel():
     assert tracer.calls["detection.derived_quantities"] == 3
 
 
+def test_tracer_wraps_each_spec_constructor_and_restores_it():
+    # the tracer swaps the class attribute, which slotted records allow
+    from sigeq import detection
+    originals = {name: getattr(detection, name).__init__ for name in tracing.SPEC_TYPES}
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        for name, init in originals.items():
+            assert getattr(detection, name).__init__ is not init
+        tracer.active = True
+        demo_spec()
+        tracer.active = False
+    assert {name: getattr(detection, name).__init__ for name in originals} == originals
+    # the demo agents are built once, when conftest loads
+    assert {name: tracer.calls[f"detection.{name}"] for name in originals} == {
+        "AgentParams": 0, "NoiseModel": 1, "PeakPower": 1, "AveragePower": 0, "GameSpec": 1}
+
+
 # (game, concept, spans expected once): the leader's chooser on
 # leader-follower play; the error tails under every informative report but
 # average-power Nash, which scores its pair by the rule; the receiver's best
