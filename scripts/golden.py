@@ -25,9 +25,11 @@ on every valid config x concept pair under three seeds, then again with an
 sampler, so the tallies of ``team_point`` and ``vector`` are non-trivial.
 
 ``tests/test_solve_golden.py`` and ``tests/test_verify_golden.py`` replay
-them byte for byte.  Regenerate them
-only by a change meant to alter what a solver or the Monte Carlo estimator
-reports; ``git diff`` then shows what moved.
+them byte for byte; where a game differs, ``leaf_diffs`` names each changed
+field with its distance in ulps, as ``scripts/differential.py`` does for an
+outcome that changed since a parent revision.  Regenerate them only by a
+change meant to alter what a solver or the Monte Carlo estimator reports;
+``git diff`` then shows what moved.
 
 Usage: python3 scripts/golden.py
 """
@@ -36,6 +38,7 @@ import argparse
 import contextlib
 import io
 import json
+import struct
 import sys
 from pathlib import Path
 
@@ -200,6 +203,38 @@ def report_record(rep: EquilibriumReport) -> dict:
             "rule": rule_record(rep.rule),
             "risk_t": _floats(rep.risk_t),
             "risk_r": _floats(rep.risk_r)}
+
+
+def _ordinal(x: float) -> int:
+    """Position of a float in the ordered sequence of doubles (+0 and -0 at 0),
+    so that two floats are ``abs(_ordinal(a) - _ordinal(b))`` ulps apart."""
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+
+def _as_float(leaf) -> float | None:
+    try:
+        return float(leaf) if isinstance(leaf, str) else None
+    except ValueError:
+        return None
+
+
+def leaf_diffs(old, new, path: str = "") -> list[str]:
+    """One line per leaf where two records differ: its path, the old and the
+    new value, and the ulps between them when both are floats.  A subtree
+    whose shape changed (a report that became an error, say) is one leaf."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        return [line for key in old
+                for line in leaf_diffs(old[key], new[key], f"{path}.{key}")]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [line for i, (o, n) in enumerate(zip(old, new))
+                for line in leaf_diffs(o, n, f"{path}[{i}]")]
+    if old == new:
+        return []
+    a, b = _as_float(old), _as_float(new)
+    ulps = (f" ({abs(_ordinal(a) - _ordinal(b))} ulp)"
+            if a is not None and b is not None else "")
+    return [f"{path.lstrip('.')}: {old} -> {new}{ulps}"]
 
 
 def outcome_record(spec: GameSpec, concept: Concept) -> dict:

@@ -12,8 +12,14 @@ the arc x = sqrt(P/pi0) sin t, y = sqrt(P/pi1) cos t for t in [0, pi/2]
 roots can be enumerated exactly: interval bounds split the arc into pieces
 that each hold at most one root, and each sign change is refined to rounding.
 The Nash equilibrium needs no search: against the rule matched to the pair
-itself, the first-order condition has one root in closed form, and the best
-response only certifies that this root is a global one.
+itself, the first-order condition has one root in closed form, and only its
+being a global best response is left to certify.  Often a bound does that:
+with e = eta / (|a| sigma) the rule's offset, S = sin 2t and
+K = (P/pi0 + P/pi1) / sigma^2, the slope of the condition is
+g' = 2/S + K S/2 + w', where |w'| <= |e| sqrt(K) and 2/S + K S/2 >= 2 sqrt(K),
+so g' >= sqrt(K) (2 - |e|) > 0 when |e| < 2.  Then g rises on the whole arc,
+its one root is the closed-form root and both ends are maxima of the risk.
+Otherwise the numeric best response certifies the root by risk.
 
 The realizer (``_place_avg``) and the Nash solve (``_nash_avg``) return
 values to the solve pipeline in ``equilibrium``, which builds the reports.
@@ -303,6 +309,12 @@ def nash_avg_best_response(rule: ReceiverRule, tx: AgentParams, p_avg: float,
     risk from the detection primitives (``rule_error_probs``, then
     ``bayes_risk``), ties going to the smaller x.  No tolerance depends on
     the budget.
+
+    When |e| < 2 the response is known without the search: with S = sin 2t
+    and K = q0^2 + q1^2, g' = 2/S + K S/2 + w' >= 2 sqrt(K) - |e| sqrt(K)
+    = sqrt(K) (2 - |e|) > 0 (see ``_settled_breaks``), so g rises on the
+    whole arc and its one root is the response.  ``_nash_avg`` certifies its
+    root by this bound and calls this function only where it does not hold.
     """
     if rule.kind is not RuleKind.THRESHOLD:
         raise SpecError("rule: a threshold rule is required")
@@ -381,22 +393,27 @@ def _nash_avg(spec: GameSpec,
     g(x) = ln(|miss| tau x / (|fa| y)): strictly increasing, with the single
     root x : y = |fa| : tau |miss|.  That root is an equilibrium if and only
     if its matched rule keeps the orientation (direction a > 0) and it is a
-    global best response to that rule, which ``nash_avg_best_response``
-    certifies by risk.  So the informative equilibrium is unique up to the
-    mirror pair; when the root fails either test, the coincident prior-only
-    outcome is the only equilibrium.  A transmitter with a zero margin falls
-    under the same formula: the free signal carries no risk and stays at 0.
+    global best response to that rule.  With both margins nonzero, the rule's
+    offset e = eta / (|a| sigma) decides how that is shown.  If |e| < 2, the
+    slope of g against the fixed rule is g' >= sqrt(K) (2 - |e|) > 0 on the
+    whole budget arc, with K = (P/pi0 + P/pi1) / sigma^2
+    (``nash_avg_best_response``), so its one root is the closed-form root,
+    both ends are maxima, and the root is certified by proof.  Otherwise
+    ``nash_avg_best_response`` certifies it by risk.  So the informative
+    equilibrium is unique up to the mirror pair; when the root fails either
+    test, the coincident prior-only outcome is the only equilibrium.  A
+    transmitter with a zero margin falls under the same formula: the free
+    signal carries no risk and stays at 0.
     """
     tau = dq.tau.value
-    tx = spec.transmitter
+    tx, p_avg = spec.transmitter, spec.power.p_avg
     fa, miss = tx.false_alarm_margin, tx.miss_margin
     sx0, sx1 = dq.xi_signs
     label = _xi_label(sx0, sx1)
     if fa == 0.0 and miss == 0.0:
         # an indifferent transmitter settles on coincident signals
         return label, Existence.EXISTS, None
-    x, y = _stationary_split(abs(fa), tau * abs(miss), spec.power.p_avg,
-                             tx.prior0, tx.prior1)
+    x, y = _stationary_split(abs(fa), tau * abs(miss), p_avg, tx.prior0, tx.prior1)
     # the matched rule's direction is zeta (s1 - s0) = sx0 x + sx1 y; against
     # a < 0 the mirror pair does strictly better, so the root cannot certify
     # and the numeric response is not needed
@@ -406,12 +423,17 @@ def _nash_avg(spec: GameSpec,
     rule = optimal_receiver_rule(signals, spec.noise, dq)
     probs = rule_error_probs(signals, rule, spec.noise)
     risk_t, risk_r = bayes_risk(tx, *probs), bayes_risk(spec.receiver, *probs)
-    best, _ = nash_avg_best_response(rule, tx, spec.power.p_avg, spec.noise)
-    best_probs = rule_error_probs(best, rule, spec.noise)
-    size = max(_risk_size(tx, *probs), _risk_size(tx, *best_probs))
-    if risk_t > bayes_risk(tx, *best_probs) + _CERTIFY_REL * size:
-        return label, Existence.ONLY_DEGENERATE, None
+    # |e| < 2 proves the root a global best response.  A zero margin or a
+    # degenerate rule has no arc coefficients and is left to the best
+    # response; the coefficients raise its overflow errors themselves
+    if (fa == 0.0 or miss == 0.0 or rule.kind is not RuleKind.THRESHOLD
+            or not abs(_arc_coefficients(rule, tx, p_avg, spec.noise.sigma)[1]) < 2.0):
+        best, _ = nash_avg_best_response(rule, tx, p_avg, spec.noise)
+        best_probs = rule_error_probs(best, rule, spec.noise)
+        size = max(_risk_size(tx, *probs), _risk_size(tx, *best_probs))
+        if risk_t > bayes_risk(tx, *best_probs) + _CERTIFY_REL * size:
+            return label, Existence.ONLY_DEGENERATE, None
     if sx0 * sx1 < 0:
-        label += " x*<rootP" if x < math.sqrt(spec.power.p_avg) else " x*>=rootP"
+        label += " x*<rootP" if x < math.sqrt(p_avg) else " x*>=rootP"
     d_star = abs(signals.s1 - signals.s0) / spec.noise.sigma
     return label, Existence.EXISTS, (signals, rule, d_star, (risk_t, risk_r))

@@ -31,8 +31,9 @@ Every record type of the package, these and the reports, traces and scans
 above, is declared with ``_record``: a frozen dataclass with slots, whose
 ``__init__`` stores each field through its slot.  Records are immutable and
 have no instance ``__dict__``, so ``vars()`` and new attributes do not work
-on them; ``dataclasses.replace``, ``copy`` and ``pickle`` do, and ``replace``
-runs the checks of ``__post_init__`` again.
+on them; ``dataclasses.replace``, ``copy`` and ``pickle`` do, ``replace``
+runs the checks of ``__post_init__`` again, and a copy's arrays are
+read-only, as the original's are.
 
 Cost convention: ``costs[j][i]`` is the cost of deciding Hj when Hi is
 true.  All sign classifications use exact comparisons; no epsilon is
@@ -118,7 +119,9 @@ def _record(cls=None, *, eq: bool = True):
     call per field, the larger part of building a small record.  In its place
     goes one with the same signature and defaults, which stores each field
     through its slot's descriptor, past the frozen ``__setattr__``, and then
-    runs ``__post_init__``.
+    runs ``__post_init__``.  The dataclass's ``__setstate__``, which ``pickle``
+    and ``copy.deepcopy`` call with fresh, writable arrays, is wrapped to make
+    each array field read-only again.
     """
     if cls is None:
         return lambda cls: _record(cls, eq=eq)
@@ -140,6 +143,16 @@ def _record(cls=None, *, eq: bool = True):
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__annotations__ = {f.name: f.type for f in fields(cls) if f.init} | {"return": None}
     cls.__init__ = init
+    setstate = cls.__setstate__
+
+    def __setstate__(self, state: list) -> None:
+        setstate(self, state)
+        for value in state:
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    __setstate__.__qualname__ = f"{cls.__qualname__}.__setstate__"
+    cls.__setstate__ = __setstate__
     # the dataclass's own guards test the class from before the slots were
     # added, so a name that is not a field raised a TypeError from super()
     cls.__setattr__ = _frozen_setattr

@@ -133,18 +133,10 @@ def _zero_pair_report(concept: Concept, spec: GameSpec, dq: DerivedQuantities,
         zero = np.zeros(key) if key else 0.0
         signals = _ZERO_PAIRS[key] = SignalDesign(zero, zero)
     p10, p01 = _fixed_error_probs(rule)
-    return EquilibriumReport(
-        concept=concept,
-        case_label=case_label,
-        informative=False,
-        d_star=0.0,
-        d_max=dq.d_max,
-        signals=signals,
-        rule=rule,
-        risk_t=bayes_risk(spec.transmitter, p10, p01),
-        risk_r=bayes_risk(spec.receiver, p10, p01),
-        existence=existence,
-    )
+    # by position, in field order: faster than by keyword
+    return EquilibriumReport(concept, case_label, False, 0.0, dq.d_max, signals, rule,
+                             bayes_risk(spec.transmitter, p10, p01),
+                             bayes_risk(spec.receiver, p10, p01), existence)
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +211,5 @@ def _informative_report(concept: Concept, dq: DerivedQuantities, case_label: str
                         risks: tuple[float, float]) -> EquilibriumReport:
     """Report of an informative pair, which is always an equilibrium."""
     risk_t, risk_r = risks
-    return EquilibriumReport(
-        concept=concept,
-        case_label=case_label,
-        informative=True,
-        d_star=d_star,
-        d_max=dq.d_max,
-        signals=signals,
-        rule=rule,
-        risk_t=risk_t,
-        risk_r=risk_r,
-        existence=Existence.EXISTS,
-    )
+    return EquilibriumReport(concept, case_label, True, d_star, dq.d_max, signals, rule,
+                             risk_t, risk_r, Existence.EXISTS)

@@ -21,16 +21,25 @@ from sigeq import (
     ReceiverRule,
     SignalDesign,
     SpecError,
+    bayes_risk,
     d_max_of,
     derived_quantities,
     nash_avg_best_response,
     optimal_receiver_rule,
     q_function,
     risk_pair,
+    rule_error_probs,
     solve,
 )
 from sigeq import avgpower
-from conftest import DEMO_RX, DEMO_TX, random_agent, random_avg_spec, signals_equal
+from conftest import (
+    DEMO_RX,
+    DEMO_TX,
+    fragile_team_spec,
+    random_agent,
+    random_avg_spec,
+    signals_equal,
+)
 
 Q1 = 0.15865525393145707
 
@@ -529,6 +538,105 @@ def test_certification_matches_the_grid_oracle(monkeypatch):
         informative += rep.informative
     # both outcomes occur among the oriented roots
     assert 0 < informative < len(games)
+
+
+def _certifies(respond, spec: GameSpec, signals: SignalDesign,
+               rule: ReceiverRule) -> bool:
+    """The pair certifies against ``respond``'s best response to ``rule`` by
+    the risk test ``_nash_avg`` applies where the bound does not hold."""
+    tx, noise = spec.transmitter, spec.noise
+    best, _ = respond(rule, tx, spec.power.p_avg, noise)
+    probs = rule_error_probs(signals, rule, noise)
+    best_probs = rule_error_probs(best, rule, noise)
+    size = max(avgpower._risk_size(tx, *probs), avgpower._risk_size(tx, *best_probs))
+    return (bayes_risk(tx, *probs)
+            <= bayes_risk(tx, *best_probs) + avgpower._CERTIFY_REL * size)
+
+
+def _offset(spec: GameSpec, rule: ReceiverRule) -> float:
+    """|e| = |eta| / (|a| sigma) of the rule on the budget arc."""
+    return abs(avgpower._arc_coefficients(rule, spec.transmitter, spec.power.p_avg,
+                                          spec.noise.sigma)[1])
+
+
+def test_the_bound_certifies_only_what_both_best_responses_certify():
+    # every root that _nash_avg certifies by |e| < 2, over the first 300
+    # games of seeds 1-6, has exactly one rising root on its arc, and both the
+    # enumeration's and the grid oracle's responses certify it by risk
+    proved = 0
+    for seed in range(1, 7):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            spec = random_avg_spec(rng)
+            tx = spec.transmitter
+            rep = solve(spec, Concept.NASH)
+            if (not rep.informative or tx.false_alarm_margin == 0.0
+                    or tx.miss_margin == 0.0 or _offset(spec, rep.rule) >= 2.0):
+                continue
+            coefficients = avgpower._arc_coefficients(rep.rule, tx, spec.power.p_avg,
+                                                      spec.noise.sigma)
+            assert len(avgpower._rising_roots(*coefficients)) == 1
+            for respond in (nash_avg_best_response, grid_best_response):
+                assert _certifies(respond, spec, rep.signals, rep.rule)
+            proved += 1
+    assert proved == 398
+
+
+class _Unreachable(Exception):
+    pass
+
+
+def _no_best_response(*args):
+    raise _Unreachable
+
+
+def _first_proved_game() -> GameSpec:
+    rng = np.random.default_rng(1)
+    while True:
+        spec = random_avg_spec(rng)
+        rep = solve(spec, Concept.NASH)
+        if rep.informative and _offset(spec, rep.rule) < 2.0:
+            return spec
+
+
+# transmitters with one zero margin whose oriented root reaches the check
+ZERO_MARGIN_GAMES = {
+    "fa=0": GameSpec(AgentParams.from_prior0(0.4, ((0.3, 1.0), (0.3, 0.0))), DEMO_RX,
+                     NoiseModel.scalar(0.5), AveragePower(1.0)),
+    "miss=0": GameSpec(AgentParams.from_prior0(0.4, ((0.0, 0.7), (1.0, 0.7))), DEMO_RX,
+                       NoiseModel.scalar(0.5), AveragePower(1.0)),
+}
+# sqrt(p_avg / prior0) overflows, so the split is (inf, inf) and its matched
+# rule ignores the observation, which the best response rejects
+DEGENERATE_RULE_GAME = GameSpec(
+    AgentParams(2.1023254911145702e-256, 1.0,
+                ((1.3339339278032722, 2.8341641608070645e+135), (0.0, 0.1407794282403585))),
+    AgentParams(0.3946184678886503, 0.6053815321113497,
+                ((8.549318539207116e-233, 0.0), (0.0, 1.1374871791382253))),
+    NoiseModel.scalar(7.495606385917986e+67), AveragePower(3.855474654515536e+226))
+
+
+def test_the_bound_dispatches_before_the_best_response(monkeypatch):
+    proved = _first_proved_game()
+    expected = repr(solve(proved, Concept.NASH))
+    zero_margin = {name: solve(spec, Concept.NASH)
+                   for name, spec in ZERO_MARGIN_GAMES.items()}
+    with pytest.raises(SpecError, match="^rule: a threshold rule is required$"):
+        solve(DEGENERATE_RULE_GAME, Concept.NASH)
+    monkeypatch.setattr(avgpower, "nash_avg_best_response", _no_best_response)
+    # |e| < 2: the same report, with no best response
+    assert repr(solve(proved, Concept.NASH)) == expected
+    # |e| >= 2 on the fragile game: the numeric check runs
+    with pytest.raises(_Unreachable):
+        solve(fragile_team_spec("avg"), Concept.NASH)
+    # no arc coefficients: the numeric check runs, and unpatched the zero
+    # margins solve
+    for name, spec in ZERO_MARGIN_GAMES.items():
+        with pytest.raises(_Unreachable):
+            solve(spec, Concept.NASH)
+        assert zero_margin[name].informative, name
+    with pytest.raises(_Unreachable):
+        solve(DEGENERATE_RULE_GAME, Concept.NASH)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e12])

@@ -5,7 +5,7 @@ stores each field through its slot and then runs ``__post_init__``.  These
 tests pin what that must keep of a plain frozen dataclass: no instance
 ``__dict__``, no assignment, the dataclass's signature and defaults, the
 checks of ``__post_init__`` under ``dataclasses.replace``, and copying and
-pickling.
+pickling, whose copies keep their arrays read-only.
 """
 
 import copy
@@ -14,6 +14,7 @@ import importlib
 import inspect
 import pickle
 
+import numpy as np
 import pytest
 
 from sigeq import (
@@ -143,3 +144,29 @@ def test_specs_and_reports_copy_and_pickle(build):
         assert type(twin) is type(record) and not hasattr(twin, "__dict__")
         assert _encoded(twin) == _encoded(record)
 
+
+
+# the records of the package that hold arrays, built on a vector channel
+ARRAY_RECORDS = {
+    "noise": lambda: NoiseModel.matrix(np.eye(2)),
+    "signals": lambda: solve(fragile_team_spec("vector"), Concept.TEAM).signals,
+    "rule": lambda: solve(fragile_team_spec("vector"), Concept.TEAM).rule,
+}
+
+
+@pytest.mark.parametrize("twin", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("build", list(ARRAY_RECORDS.values()), ids=list(ARRAY_RECORDS))
+def test_copies_keep_arrays_read_only(build, twin):
+    record = build()
+    copied = twin(record)
+    arrays = [f.name for f in dataclasses.fields(record)
+              if isinstance(getattr(record, f.name), np.ndarray)]
+    assert arrays
+    for name in arrays:
+        value = getattr(copied, name)
+        assert value is not getattr(record, name)
+        assert not value.flags.writeable, name
+        assert np.array_equal(value, getattr(record, name))
+        with pytest.raises(ValueError):
+            value[0] = 1.0

@@ -4,6 +4,7 @@ Each script is loaded from its file, as the golden tests load theirs, and
 its ``main`` runs in process with ``sys.argv`` set to the command line.
 """
 
+import re
 import sys
 from pathlib import Path
 
@@ -19,6 +20,7 @@ TEAM_POINTS = {"avg_symmetric.json", "team_point.json", "vector.json"}
 
 risk_curve = load_script("risk_curve")
 robustness_demo = load_script("robustness_demo")
+differential = load_script("differential")
 
 
 def _run(monkeypatch, script, argv):
@@ -70,3 +72,16 @@ def test_robustness_demo_reports_the_fragile_flip(monkeypatch, capsys):
     leader, simultaneous = capsys.readouterr().out.split("\n\n")
     assert "informativeness flips: 2; largest |d_star change|: 0.0667" in leader
     assert "informativeness flips: 0; largest |d_star change|: 0 " in simultaneous
+
+
+def test_differential_of_the_tree_against_itself_is_bit_equal(monkeypatch, capsys):
+    # this tree on both sides, so no git call: every outcome of the fixed
+    # draw is bit-equal or the same error, and the second package is unloaded
+    assert _run(monkeypatch, differential, ["--parent-dir", ROOT]) == 0
+    out = capsys.readouterr().out
+    counts = re.fullmatch(r"(\d+) outcomes: (\d+) bit-equal, (\d+) same error, 0 changed\n",
+                          out)
+    assert counts, out
+    total, equal, errors = map(int, counts.groups())
+    assert total == equal + errors and equal > 0 and errors > 0
+    assert not any(name.startswith(differential.PARENT) for name in sys.modules)

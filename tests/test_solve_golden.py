@@ -4,14 +4,13 @@ re-solve to the recorded line, byte for byte, through ``sigeq.solve`` (and
 ``nash_avg_best_response`` for its probe rule).
 
 The record is written by ``scripts/golden.py``; this test reuses its run
-list, game draws, renderers and record reader, and reads each recorded game
-back with the CLI's ``spec_from_config``, so the format is defined once.  A
-game that no longer matches fails with every differing leaf field listed, old
-value, new value and, for floats, their distance in ulps.
+list, game draws, renderers, record reader and ``leaf_diffs``, and reads each
+recorded game back with the CLI's ``spec_from_config``, so the format is
+defined once.  A game that no longer matches fails with every differing leaf
+field listed, old value, new value and, for floats, their distance in ulps.
 """
 
 import json
-import struct
 
 import pytest
 
@@ -63,45 +62,13 @@ def test_games_are_redrawn_in_file_order():
         for r in records]
 
 
-def _ordinal(x: float) -> int:
-    """Position of a float in the ordered sequence of doubles (+0 and -0 at 0),
-    so that two floats are ``abs(_ordinal(a) - _ordinal(b))`` ulps apart."""
-    (bits,) = struct.unpack("<q", struct.pack("<d", x))
-    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
-
-
-def _as_float(leaf) -> float | None:
-    try:
-        return float(leaf) if isinstance(leaf, str) else None
-    except ValueError:
-        return None
-
-
-def leaf_diffs(old, new, path: str = "") -> list[str]:
-    """One line per leaf where two records differ: its path, the old and the
-    new value, and the ulps between them when both are floats.  A subtree
-    whose shape changed (a report that became an error, say) is one leaf."""
-    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
-        return [line for key in old
-                for line in leaf_diffs(old[key], new[key], f"{path}.{key}")]
-    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
-        return [line for i, (o, n) in enumerate(zip(old, new))
-                for line in leaf_diffs(o, n, f"{path}[{i}]")]
-    if old == new:
-        return []
-    a, b = _as_float(old), _as_float(new)
-    ulps = (f" ({abs(_ordinal(a) - _ordinal(b))} ulp)"
-            if a is not None and b is not None else "")
-    return [f"{path.lstrip('.')}: {old} -> {new}{ulps}"]
-
-
 def test_leaf_diffs_name_each_changed_field_with_its_ulps():
     old = {"d_star": "1.0", "rule": ["threshold", ["-0.0", "0.5"], "2.0"],
            "nash": {"case_label": "flat"}}
     new = {"d_star": "1.0", "rule": ["threshold", ["0.0", "0.5000000000000002"],
                                      "1.9999999999999996"],
            "nash": {"error": "SpecError: x"}}
-    assert leaf_diffs(old, new) == [
+    assert golden.leaf_diffs(old, new) == [
         "rule[1][0]: -0.0 -> 0.0 (0 ulp)",
         "rule[1][1]: 0.5 -> 0.5000000000000002 (2 ulp)",
         "rule[2]: 2.0 -> 1.9999999999999996 (2 ulp)",
@@ -123,7 +90,7 @@ def test_game_matches_golden_bytes(index):
     got = golden.render_game(cell, spec, probe)
     assert got == line, "\n".join(
         ["the game no longer matches its record:",
-         *leaf_diffs(record, json.loads(got))])
+         *golden.leaf_diffs(record, json.loads(got))])
 
 
 def test_record_covers_every_cell_and_case_label():
