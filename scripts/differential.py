@@ -2,9 +2,8 @@
 """Compare every solve of a fixed draw of games between this tree and a parent.
 
 The parent's ``src/sigeq`` is extracted with ``git archive <rev>`` into a
-temporary directory (or read from a source tree given by ``--parent-dir``)
-and imported beside this tree's ``sigeq`` as a second package,
-``sigeq_parent``.  Each game is built from one config document by each
+temporary directory and imported beside this tree's ``sigeq`` as a second
+package, ``sigeq_parent``.  Each game is built from one config document by each
 package's ``cli.spec_from_config`` and solved under every applicable concept
 (team play only where the agents are identical).  Each outcome is recorded as
 ``scripts/golden.py`` records a report, every float as its ``repr``, or as
@@ -32,7 +31,6 @@ Exit status: 0 when no outcome changed, 1 when one did, 2 when the parent
 cannot be loaded.
 
 Usage: python3 scripts/differential.py --parent <rev>
-       python3 scripts/differential.py --parent-dir <source tree>
 """
 
 import argparse
@@ -91,8 +89,10 @@ def extract_revision(rev: str, into: Path) -> None:
     """``src/sigeq`` of a git revision, written under ``into``."""
     archive = subprocess.run(["git", "archive", "--format=tar", rev, "src/sigeq"],
                              cwd=ROOT, capture_output=True, check=True).stdout
+    # the extraction filter exists from Python 3.10.12 on
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, filter="data")
+        tar.extractall(into, **safe)
 
 
 # the moderate cells' channels: scalar and average power, then vector
@@ -203,18 +203,13 @@ def compare(old) -> tuple[dict, list[str]]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    side = parser.add_mutually_exclusive_group(required=True)
-    side.add_argument("--parent", metavar="REV", help="git revision to compare against")
-    side.add_argument("--parent-dir", metavar="DIR", type=Path,
-                      help="source tree whose src/sigeq is the parent")
+    parser.add_argument("--parent", metavar="REV", required=True,
+                        help="git revision to compare against")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        tree = args.parent_dir
         try:
-            if tree is None:
-                tree = Path(tmp)
-                extract_revision(args.parent, tree)
-            old = load_package(tree / "src")
+            extract_revision(args.parent, Path(tmp))
+            old = load_package(Path(tmp) / "src")
         except (OSError, subprocess.CalledProcessError, ImportError) as exc:
             print(f"error: cannot load the parent: {exc}", file=sys.stderr)
             return 2

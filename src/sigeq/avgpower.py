@@ -314,7 +314,9 @@ def nash_avg_best_response(rule: ReceiverRule, tx: AgentParams, p_avg: float,
     and K = q0^2 + q1^2, g' = 2/S + K S/2 + w' >= 2 sqrt(K) - |e| sqrt(K)
     = sqrt(K) (2 - |e|) > 0 (see ``_settled_breaks``), so g rises on the
     whole arc and its one root is the response.  ``_nash_avg`` certifies its
-    root by this bound and calls this function only where it does not hold.
+    root by this bound, and calls this function where the bound does not
+    hold, where a margin is zero (no offset e is defined) and where its
+    matched rule is not a threshold rule.
     """
     if rule.kind is not RuleKind.THRESHOLD:
         raise SpecError("rule: a threshold rule is required")
