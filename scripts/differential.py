@@ -13,19 +13,13 @@ printed with its first differing leaf, old value, new value and ulps
 (``golden.leaf_diffs``).  Warnings are silenced, so the caller's warning
 filters do not change an outcome.
 
-The draw is fixed:
+The draw is fixed.  Both distributions are described in the docstrings of
+``tests/conftest.py``:
 
-* **moderate**, 2,400 games: the test suite's generators
-  (``tests/conftest.py``) from seed 20190611, 100 games in each of 24 cells:
-  scalar peak power, average power and vector peak power in dimensions 1-4,
-  each x identical/mismatched agents x finite-tau-only/any tau;
-* **extreme**, 3,000 draws from seed 0 (the robustness distribution of
-  ROADMAP item 5): priors U[0.01, 0.99] half the time, else one prior
-  log-uniform in [1e-300, 1e-2] (either side); each cost 0, U[0, 2] or
-  log-uniform in [1e-300, 1e300], a third of the time each; sigma, budgets
-  and covariance entries log-uniform in [1e-300, 1e300]; channels 40% scalar
-  peak power, 30% average power, 30% a 2-D diagonal covariance; 30%
-  identical agents.  Draws the spec types reject count as errors.
+* **moderate**, 2,400 games: the cell draw (``cell_games``) from seed
+  20190611, 100 games in each of its 24 cells;
+* **extreme**, 3,000 games: the extreme draw (``extreme_games``) from
+  seed 0.  Games the spec types reject count as errors.
 
 Exit status: 0 when no outcome changed, 1 when one did, 2 when the parent
 cannot be loaded.
@@ -50,12 +44,7 @@ import numpy as np  # noqa: E402
 
 import golden  # noqa: E402  (puts src and tests on sys.path)
 import sigeq  # noqa: E402
-from conftest import (  # noqa: E402
-    random_avg_spec,
-    random_identical_spec,
-    random_scalar_spec,
-    random_vector_spec,
-)
+from conftest import cell_games, extreme_games  # noqa: E402
 
 PARENT = "sigeq_parent"
 MODERATE_SEED = 20190611
@@ -95,76 +84,6 @@ def extract_revision(rev: str, into: Path) -> None:
         tar.extractall(into, **safe)
 
 
-# the moderate cells' channels: scalar and average power, then vector
-# dimensions
-MODERATE_CHANNELS = ("scalar", "avg", 1, 2, 3, 4)
-
-
-def _moderate_spec(rng, channel, identical: bool, finite_tau: bool):
-    if channel == "scalar":
-        return (random_identical_spec(rng, finite_tau) if identical
-                else random_scalar_spec(rng, finite_tau))
-    if channel == "avg":
-        return random_avg_spec(rng, identical, finite_tau)
-    return random_vector_spec(rng, channel, identical, finite_tau)
-
-
-def moderate_games() -> list[dict]:
-    """The moderate draw, as config documents."""
-    rng = np.random.default_rng(MODERATE_SEED)
-    return [golden.spec_record(_moderate_spec(rng, channel, identical, finite_tau))
-            for finite_tau in (True, False) for identical in (True, False)
-            for channel in MODERATE_CHANNELS for _ in range(MODERATE_GAMES)]
-
-
-def _log_uniform(rng, lo: float, hi: float) -> float:
-    return float(10.0 ** rng.uniform(lo, hi))
-
-
-def _extreme_agent(rng) -> dict:
-    if rng.random() < 0.5:
-        prior0 = float(rng.uniform(0.01, 0.99))
-        priors = (prior0, 1.0 - prior0)
-    else:
-        small = _log_uniform(rng, -300.0, -2.0)
-        priors = (small, 1.0 - small) if rng.random() < 0.5 else (1.0 - small, small)
-    costs = []
-    for _ in range(4):
-        kind = rng.integers(3)
-        costs.append(0.0 if kind == 0 else float(rng.uniform(0.0, 2.0)) if kind == 1
-                     else _log_uniform(rng, -300.0, 300.0))
-    return {"prior0": repr(priors[0]), "prior1": repr(priors[1]),
-            "costs": [[repr(costs[0]), repr(costs[1])], [repr(costs[2]), repr(costs[3])]]}
-
-
-def extreme_games() -> list[dict]:
-    """The extreme draw, as config documents."""
-    rng = np.random.default_rng(EXTREME_SEED)
-    games = []
-    for _ in range(EXTREME_DRAWS):
-        tx = _extreme_agent(rng)
-        rx = tx if rng.random() < 0.3 else _extreme_agent(rng)
-        channel = rng.random()
-        if channel < 0.4:
-            noise = {"sigma": repr(_log_uniform(rng, -300.0, 300.0))}
-            power = {"p0": repr(_log_uniform(rng, -300.0, 300.0)),
-                     "p1": repr(_log_uniform(rng, -300.0, 300.0))}
-            dimension = 1
-        elif channel < 0.7:
-            noise = {"sigma": repr(_log_uniform(rng, -300.0, 300.0))}
-            power = {"p_avg": repr(_log_uniform(rng, -300.0, 300.0))}
-            dimension = 1
-        else:
-            v0, v1 = _log_uniform(rng, -300.0, 300.0), _log_uniform(rng, -300.0, 300.0)
-            noise = {"covariance": [[repr(v0), "0.0"], ["0.0", repr(v1)]]}
-            power = {"p0": repr(_log_uniform(rng, -300.0, 300.0)),
-                     "p1": repr(_log_uniform(rng, -300.0, 300.0))}
-            dimension = 2
-        games.append({"transmitter": tx, "receiver": rx, "noise": noise,
-                      "power": power, "dimension": dimension})
-    return games
-
-
 def outcome(package, doc: dict, concept: str) -> dict:
     """The record of one solve by ``package``, or the error it raised."""
     try:
@@ -182,8 +101,10 @@ def compare(old) -> tuple[dict, list[str]]:
     concept and first differing leaf."""
     counts = {"bit-equal": 0, "same error": 0, "changed": 0}
     changed = []
-    draws = [("moderate", doc) for doc in moderate_games()]
-    draws += [("extreme", doc) for doc in extreme_games()]
+    rng = np.random.default_rng(MODERATE_SEED)
+    draws = [("moderate", golden.spec_record(spec))
+             for _, spec in cell_games(rng, MODERATE_GAMES)]
+    draws += [("extreme", doc) for doc in extreme_games(EXTREME_SEED, EXTREME_DRAWS)]
     for i, (kind, doc) in enumerate(draws):
         concepts = [c.value for c in sigeq.Concept]
         if doc["transmitter"] != doc["receiver"]:

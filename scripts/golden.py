@@ -8,16 +8,13 @@
   workload at fixed ranges: each run as its command line, everything it
   prints (stdout and stderr) and its exit code;
 * random games, one JSON line each: the cell, the game and its outcome under
-  every concept, every float stored as its ``repr``.  They cover every
-  channel (scalar peak power; vector peak power in dimensions 1, 2, 3, 4
-  and 8; scalar average power) x identical/mismatched agents x
-  finite/degenerate tau x continuous/discrete draws.  Discrete draws take
-  costs from {0, 0.5, 1}, priors from {0.25, 0.5, 0.75} and budgets from
-  {0.5, 1, 2}, and so reach the ``flat``, ``xi(0,.)`` and ``p0=p1`` labels
-  that continuous draws never do.  Then a receiver whose threshold ratio
-  underflows to zero, and 40 mismatched finite-tau average-power games
-  (``"draws": "probe"``) that also hold a random threshold rule and the
-  transmitter's best response to it, which nothing else pins.
+  every concept, every float stored as its ``repr``.  They are the cell draw
+  (``cell_games`` in ``tests/conftest.py``, whose docstrings describe it):
+  10 games in each of the 24 cells, 80 in each mismatched finite-tau cell of
+  discrete draws.  Then a receiver whose threshold ratio underflows to zero,
+  and 40 mismatched finite-tau average-power games (``"draws": "probe"``)
+  that also hold a random threshold rule and the transmitter's best response
+  to it, which nothing else pins.
 
 ``tests/data/verify_golden.txt`` holds ``sigeq verify`` runs at 1e6 samples
 on every valid config x concept pair under three seeds, then again with an
@@ -59,10 +56,9 @@ from sigeq import (  # noqa: E402
     ReceiverRule,
     SpecError,
     cli,
-    derived_quantities,
     nash_avg_best_response,
 )
-from conftest import random_agent, random_avg_spec, random_spd_matrix  # noqa: E402
+from conftest import cell_games, random_avg_spec  # noqa: E402
 
 SOLVE_GOLDEN = ROOT / "tests" / "data" / "solve_golden.txt"
 VERIFY_GOLDEN = ROOT / "tests" / "data" / "verify_golden.txt"
@@ -96,16 +92,11 @@ VERIFY_PAIRS = (
 ETA_OFFSETS = {"demo": "0.002", "biased": "1.0", "avg_symmetric": "1.0",
                "team_point": "1500", "vector": "-150"}
 DEGENERATE = {("demo", "nash")}
-CHANNELS = ("scalar", "vector", "avg")
-VECTOR_DIMS = (1, 2, 3, 4, 8)
 # games per cell; mismatched finite-tau games with discrete draws reach the
 # most labels, the rarest (a mixed-sign Nash game with p0 = p1) in ~3% of them
 GAMES_PER_CELL = 10
 GAMES_PER_RICH_CELL = 80
 PROBE_GAMES = 40
-DISCRETE_COSTS = (0.0, 0.5, 1.0)
-DISCRETE_PRIORS = (0.25, 0.5, 0.75)
-DISCRETE_POWERS = (0.5, 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,39 +251,6 @@ def render_game(cell: dict, spec: GameSpec, probe: ReceiverRule | None = None) -
     return json.dumps(record) + "\n"
 
 
-def _agent(rng, discrete: bool) -> AgentParams:
-    if not discrete:
-        return random_agent(rng)
-    prior0 = float(rng.choice(DISCRETE_PRIORS))
-    c = rng.choice(DISCRETE_COSTS, size=4)
-    return AgentParams.from_prior0(
-        prior0, ((float(c[0]), float(c[1])), (float(c[2]), float(c[3]))))
-
-
-def _budget(rng, discrete: bool) -> float:
-    if discrete:
-        return float(rng.choice(DISCRETE_POWERS))
-    return float(rng.uniform(0.25, 4.0))
-
-
-def _draw(rng, channel: str, dim: int, identical: bool, finite_tau: bool,
-          discrete: bool) -> GameSpec:
-    while True:
-        tx = _agent(rng, discrete)
-        rx = tx if identical else _agent(rng, discrete)
-        if channel == "vector":
-            noise = NoiseModel.matrix(random_spd_matrix(rng, dim))
-        else:
-            noise = NoiseModel.scalar(float(rng.uniform(0.2, 2.0)))
-        if channel == "avg":
-            power = AveragePower(_budget(rng, discrete))
-        else:
-            power = PeakPower(_budget(rng, discrete), _budget(rng, discrete))
-        spec = GameSpec(tx, rx, noise, power, noise.dimension)
-        if derived_quantities(spec).tau.is_finite == finite_tau:
-            return spec
-
-
 def _underflow_game() -> GameSpec:
     # a valid LRT receiver whose threshold ratio underflows to 0
     rx = AgentParams(1e-10, 1.0 - 1e-10, ((0.0, 1.0), (1e-320, 0.0)))
@@ -301,21 +259,8 @@ def _underflow_game() -> GameSpec:
 
 def games() -> list[tuple[dict, GameSpec, ReceiverRule | None]]:
     """Every recorded game with its cell and probe rule, in file order."""
-    rng = np.random.default_rng(SEED)
-    out = []
-    for channel in CHANNELS:
-        for identical in (True, False):
-            for finite_tau in (True, False):
-                for discrete in (False, True):
-                    rich = discrete and finite_tau and not identical
-                    for i in range(GAMES_PER_RICH_CELL if rich else GAMES_PER_CELL):
-                        dim = VECTOR_DIMS[i % len(VECTOR_DIMS)] if channel == "vector" else 1
-                        spec = _draw(rng, channel, dim, identical, finite_tau, discrete)
-                        cell = {"channel": channel,
-                                "agents": "identical" if identical else "mismatched",
-                                "tau": "finite" if finite_tau else "degenerate",
-                                "draws": "discrete" if discrete else "continuous"}
-                        out.append((cell, spec, None))
+    out = [(cell, spec, None) for cell, spec in cell_games(
+        np.random.default_rng(SEED), GAMES_PER_CELL, GAMES_PER_RICH_CELL)]
     out.append(({"channel": "scalar", "agents": "identical", "tau": "underflow",
                  "draws": "fixed"}, _underflow_game(), None))
     probe_rng = np.random.default_rng(SEED)

@@ -26,9 +26,9 @@ from .detection import (
     RuleKind,
     SpecError,
     _fixed_error_probs,
+    _silent_rule,
     bayes_risk,
     derived_quantities,
-    prior_only_rule,
     rule_error_probs,
 )
 from .equilibrium import Concept, informative_risks
@@ -169,17 +169,20 @@ def _sweep_spec(doc: dict, base: GameSpec, param: str, value: float) -> GameSpec
     if param == "alpha":
         if doc.get("preset") != "biased_cost":
             raise SpecError("param alpha: config must use the biased_cost preset")
-        kwargs = {k: doc[k] for k in ("prior0", "sigma", "p0", "p1") if k in doc}
-        return preset_biased_cost(value, **kwargs)
+        return _spec_from_preset(dict(doc, alpha=value))
     head, dot, tail = param.partition(".")
     if not dot:
         raise SpecError(f"param {param}: unknown parameter name")
     if head == "noise":
         if tail != "sigma":
             raise SpecError(f"param {param}: unknown field")
+        if not base.noise.is_scalar:
+            raise SpecError(f"param {param}: scalar-noise config required")
         return replace(base, noise=NoiseModel.scalar(value))
     if head == "power":
         if tail == "p_avg":
+            if not isinstance(base.power, AveragePower):
+                raise SpecError(f"param {param}: average-power config required")
             return replace(base, power=AveragePower(value))
         if tail in ("p0", "p1"):
             if not isinstance(base.power, PeakPower):
@@ -250,7 +253,6 @@ def _fixed_d_rows(spec: GameSpec, lo: float, hi: float, steps: int) -> list[str]
     dq = derived_quantities(spec)
     if not dq.tau.is_finite:
         raise SpecError("param d: requires a finite threshold ratio")
-    tau = dq.tau.finite_value()
     if not np.isfinite((lo, hi)).all():
         raise SpecError("param d: range must be finite")
     # the range may run either way
@@ -260,7 +262,7 @@ def _fixed_d_rows(spec: GameSpec, lo: float, hi: float, steps: int) -> list[str]
     for v in np.linspace(lo, hi, steps):
         v = float(v)
         if v == 0.0:
-            p10, p01 = _fixed_error_probs(prior_only_rule(tau, dq.zeta))
+            p10, p01 = _fixed_error_probs(_silent_rule(dq))
             risk_t = bayes_risk(spec.transmitter, p10, p01)
             risk_r = bayes_risk(spec.receiver, p10, p01)
         else:

@@ -401,11 +401,6 @@ class Tau:
     def is_finite(self) -> bool:
         return self.value is not None and self.value > 0.0
 
-    def finite_value(self) -> float:
-        if not self.is_finite:
-            raise SpecError("tau: no finite threshold ratio in this configuration")
-        return self.value
-
 
 @_record
 class DerivedQuantities:
@@ -666,6 +661,17 @@ def prior_only_rule(tau: float, zeta: int) -> ReceiverRule:
     return ReceiverRule.indifferent(eta)
 
 
+def _silent_rule(dq: DerivedQuantities) -> ReceiverRule:
+    """The receiver's rule where the observation tells it nothing: the fixed
+    rule of a case that ignores the channel, else the prior-only rule of
+    tau.  A threshold receiver whose ratio underflowed to 0 has neither."""
+    if dq.case is not RuleKind.THRESHOLD:
+        return _FIXED_RULES[dq.case]
+    if not dq.tau.is_finite:
+        raise SpecError("tau: finite threshold games have no degenerate receiver")
+    return prior_only_rule(dq.tau.value, dq.zeta)
+
+
 def optimal_receiver_rule(signals: SignalDesign, noise: NoiseModel,
                           dq: DerivedQuantities) -> ReceiverRule:
     """Best response of the receiver to a known signal pair, from the game's
@@ -677,13 +683,11 @@ def optimal_receiver_rule(signals: SignalDesign, noise: NoiseModel,
     definite by its eigenvalues but singular to that factorization raises a
     ``SpecError`` naming ``noise.covariance``.
     """
-    if dq.case is not RuleKind.THRESHOLD:
-        return _FIXED_RULES[dq.case]
-    if not dq.tau.is_finite:
+    if dq.case is RuleKind.THRESHOLD and not dq.tau.is_finite:
         # both margins share a sign, but their ratio underflowed to 0
         raise SpecError("tau: the matched rule needs a finite threshold ratio")
-    if signals.coincident:
-        return prior_only_rule(dq.tau.value, dq.zeta)
+    if dq.case is not RuleKind.THRESHOLD or signals.coincident:
+        return _silent_rule(dq)
     s0, s1, zeta = signals.s0, signals.s1, dq.zeta
     if noise.is_scalar:
         a = zeta * (s1 - s0)

@@ -36,17 +36,14 @@ from .detection import (
     GameSpec,
     PeakPower,
     ReceiverRule,
-    RuleKind,
     SignalDesign,
-    SpecError,
-    _FIXED_RULES,
     _fixed_error_probs,
     _record,
+    _silent_rule,
     bayes_risk,
     conditional_error_probs,
     derived_quantities,
     optimal_receiver_rule,
-    prior_only_rule,
 )
 from .nash import Existence, _nash_choice
 from .stackelberg import classify_transmitter_preference
@@ -95,38 +92,17 @@ def informative_risks(transmitter: AgentParams, receiver: AgentParams,
     return bayes_risk(transmitter, p10, p01), bayes_risk(receiver, p10, p01)
 
 
-def degenerate_receiver_report(concept: Concept, spec: GameSpec,
-                               dq: DerivedQuantities) -> EquilibriumReport:
-    """Report for games whose receiver ignores the observation outright.
-
-    Applies whenever tau is not finite: the rule is fixed by the cost-margin
-    case, every signal pair is equivalent, and the zero pair is reported.
-    """
-    if dq.case is RuleKind.THRESHOLD:
-        raise SpecError("tau: finite threshold games have no degenerate receiver")
-    return _zero_pair_report(concept, spec, dq, "degenerate", Existence.EXISTS,
-                             _FIXED_RULES[dq.case])
-
-
-def babbling_report(concept: Concept, spec: GameSpec, dq: DerivedQuantities,
-                    case_label: str, existence: Existence) -> EquilibriumReport:
-    """Report for the coincident-signal outcome under a finite tau.
-
-    The receiver plays the prior-only rule with eta = zeta * (tau - 1); the
-    zero signal pair is the canonical representative.
-    """
-    rule = prior_only_rule(dq.tau.finite_value(), dq.zeta)
-    return _zero_pair_report(concept, spec, dq, case_label, existence, rule)
-
-
 # one immutable zero pair per channel dimension (0: scalar), shared by reports
 _ZERO_PAIRS: dict[int, SignalDesign] = {}
 
 
-def _zero_pair_report(concept: Concept, spec: GameSpec, dq: DerivedQuantities,
-                      case_label: str, existence: Existence,
-                      rule: ReceiverRule) -> EquilibriumReport:
-    """Report of the zero pair under a rule that ignores the observation."""
+def babbling_report(concept: Concept, spec: GameSpec, dq: DerivedQuantities,
+                    case_label: str, existence: Existence) -> EquilibriumReport:
+    """Report of the zero pair under the receiver's rule for an uninformative
+    observation (``detection._silent_rule``).  Under a finite tau it stands
+    for every coincident pair, under the prior-only rule; otherwise for every
+    pair, which the fixed rule of the cost-margin case cannot tell apart."""
+    rule = _silent_rule(dq)
     key = 0 if spec.noise.is_scalar else spec.dimension
     signals = _ZERO_PAIRS.get(key)
     if signals is None:
@@ -172,7 +148,7 @@ def _solve(spec: GameSpec, concept: Concept) -> EquilibriumReport:
     that the agents are identical."""
     dq = derived_quantities(spec)
     if not dq.tau.is_finite:
-        return degenerate_receiver_report(concept, spec, dq)
+        return babbling_report(concept, spec, dq, "degenerate", Existence.EXISTS)
     average = isinstance(spec.power, AveragePower)
     if average and concept is Concept.NASH:
         label, existence, placed = _nash_avg(spec, dq)

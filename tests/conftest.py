@@ -1,16 +1,19 @@
-"""Shared random-instance generators, signal-pair and rule comparisons, and
-the brute-force leader oracle, for the test suite.
+"""Shared random-instance generators, the fixed cell and extreme draws of
+games, signal-pair and rule comparisons, and the brute-force leader oracle,
+for the test suite and the scripts.
 
-Costs are drawn from continuous distributions, so cost margins are nonzero
-almost surely; generators that promise a finite threshold ratio reject the
-draws where the margin signs disagree.
+The ``random_*`` generators draw costs from continuous distributions, so
+cost margins are nonzero almost surely; generators that promise a finite
+threshold ratio reject the draws where the margin signs disagree.
 """
 
 import importlib.util
+import itertools
 import math
 import os
 import subprocess
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -117,12 +120,14 @@ def unit_rule(rule: ReceiverRule) -> tuple[np.ndarray, float]:
 def rules_close(lhs: ReceiverRule, rhs: ReceiverRule, rel: float) -> bool:
     """Both rules are of one kind and, scaled to a unit direction, the vectors
     (a, eta) differ by at most ``rel`` times the length of ``rhs``'s.  A scalar
-    direction counts as a 1-vector; rules that ignore the observation must be
-    equal."""
-    if lhs.kind is not rhs.kind:
+    direction counts as a 1-vector; bit-equal rules are close, and rules that
+    ignore the observation must be equal."""
+    if rules_equal(lhs, rhs):
+        # before scaling, which can overflow: eta / max|a| is inf where the
+        # direction is subnormal, and the gap of two infs is nan
+        return True
+    if lhs.kind is not rhs.kind or lhs.kind is not RuleKind.THRESHOLD:
         return False
-    if lhs.kind is not RuleKind.THRESHOLD:
-        return rules_equal(lhs, rhs)
     (xa, x_eta), (ya, y_eta) = unit_rule(lhs), unit_rule(rhs)
     if xa.shape != ya.shape:
         return False
@@ -193,6 +198,128 @@ def random_vector_spec(rng: np.random.Generator, n: int,
         spec = GameSpec(tx, rx, noise, power, dimension=n)
         if not finite_tau or derived_quantities(spec).tau.is_finite:
             return spec
+
+
+# ---------------------------------------------------------------------------
+# The two draws of games that the golden record (scripts/golden.py), the
+# parent differential (scripts/differential.py) and the solve-path tests run
+# on.  Each distribution is described once, here.
+
+CELL_CHANNELS = ("scalar", "vector", "avg")
+CELL_VECTOR_DIMS = (1, 2, 3, 4, 8)
+
+
+def _cell_agent(rng: np.random.Generator, discrete: bool) -> AgentParams:
+    if not discrete:
+        return random_agent(rng)
+    prior0 = float(rng.choice((0.25, 0.5, 0.75)))
+    c = [float(x) for x in rng.choice((0.0, 0.5, 1.0), size=4)]
+    return AgentParams.from_prior0(prior0, ((c[0], c[1]), (c[2], c[3])))
+
+
+def _cell_budget(rng: np.random.Generator, discrete: bool) -> float:
+    return float(rng.choice((0.5, 1.0, 2.0)) if discrete else rng.uniform(0.25, 4.0))
+
+
+def cell_spec(rng: np.random.Generator, channel: str, dim: int, identical: bool,
+              finite_tau: bool, discrete: bool) -> GameSpec:
+    """One game of the cell draw.
+
+    A cell is a channel (``"scalar"`` or ``"vector"`` peak power, the latter
+    in dimension ``dim``, or ``"avg"``, scalar average power) x identical or
+    mismatched agents x finite or degenerate tau x continuous or discrete
+    draws.  Continuous draws are ``random_agent``'s (prior0 U[0.05, 0.95],
+    each cost U[0, 2]), with each budget U[0.25, 4].  Discrete draws take
+    prior0 from {0.25, 0.5, 0.75}, each cost from {0, 0.5, 1} and each budget
+    from {0.5, 1, 2}; so they reach zero cost margins and tied budgets, and
+    the ``flat``, ``xi(0,.)`` and ``p0=p1`` labels that continuous draws
+    never do.  sigma is U[0.2, 2] and a covariance ``random_spd_matrix``.  A
+    game is redrawn until whether tau is finite matches the cell.
+    """
+    while True:
+        tx = _cell_agent(rng, discrete)
+        rx = tx if identical else _cell_agent(rng, discrete)
+        if channel == "vector":
+            noise = NoiseModel.matrix(random_spd_matrix(rng, dim))
+        else:
+            noise = NoiseModel.scalar(float(rng.uniform(0.2, 2.0)))
+        if channel == "avg":
+            power = AveragePower(_cell_budget(rng, discrete))
+        else:
+            power = PeakPower(_cell_budget(rng, discrete), _cell_budget(rng, discrete))
+        spec = GameSpec(tx, rx, noise, power, noise.dimension)
+        if derived_quantities(spec).tau.is_finite == finite_tau:
+            return spec
+
+
+def cell_games(rng: np.random.Generator, count: int,
+               rich_count: int | None = None) -> Iterator[tuple[dict, GameSpec]]:
+    """The cell draw, cell by cell: games of ``cell_spec``, each with its cell
+    as a dict.  Each of the 24 cells holds ``count`` games, except that a
+    given ``rich_count`` is the number in the three mismatched finite-tau
+    cells of discrete draws, which reach the most labels.  The i-th vector
+    game of a cell has dimension ``CELL_VECTOR_DIMS[i % 5]``."""
+    for channel, identical, finite_tau, discrete in itertools.product(
+            CELL_CHANNELS, (True, False), (True, False), (False, True)):
+        cell = {"channel": channel, "agents": "identical" if identical else "mismatched",
+                "tau": "finite" if finite_tau else "degenerate",
+                "draws": "discrete" if discrete else "continuous"}
+        rich = rich_count is not None and discrete and finite_tau and not identical
+        for i in range(rich_count if rich else count):
+            dim = CELL_VECTOR_DIMS[i % len(CELL_VECTOR_DIMS)] if channel == "vector" else 1
+            yield cell, cell_spec(rng, channel, dim, identical, finite_tau, discrete)
+
+
+def _wide(rng: np.random.Generator, lo: float = -300.0, hi: float = 300.0) -> float:
+    """Log-uniform in [10 ** lo, 10 ** hi]."""
+    return float(10.0 ** rng.uniform(lo, hi))
+
+
+def _extreme_agent(rng: np.random.Generator) -> dict:
+    if rng.random() < 0.5:
+        prior0 = float(rng.uniform(0.01, 0.99))
+        priors = (prior0, 1.0 - prior0)
+    else:
+        small = _wide(rng, -300.0, -2.0)
+        priors = (small, 1.0 - small) if rng.random() < 0.5 else (1.0 - small, small)
+    costs = []
+    for _ in range(4):
+        kind = rng.integers(3)
+        costs.append(repr(0.0 if kind == 0 else float(rng.uniform(0.0, 2.0)) if kind == 1
+                          else _wide(rng)))
+    return {"prior0": repr(priors[0]), "prior1": repr(priors[1]),
+            "costs": [costs[:2], costs[2:]]}
+
+
+def extreme_games(seed: int, count: int) -> list[dict]:
+    """The extreme draw: ``count`` games from ``seed``, as the config
+    documents that ``cli.spec_from_config`` reads, every float as its
+    ``repr``.
+
+    Priors are U[0.01, 0.99] half the time, else one of them is log-uniform
+    in [1e-300, 1e-2] and the other 1 minus it; both are written out, so a
+    small prior1 survives where 1 - prior0 would round it away.  Each cost is
+    0, U[0, 2] or log-uniform in [1e-300, 1e300], a third of the time each.
+    sigma, the budgets and the covariance entries are log-uniform in
+    [1e-300, 1e300].  The channel is scalar peak power 40% of the time,
+    scalar average power 30%, and peak power on a 2-D diagonal covariance
+    30%; the agents are identical 30% of the time.  Nothing is redrawn: a
+    game that the spec types reject stays in the draw.
+    """
+    rng = np.random.default_rng(seed)
+    games = []
+    for _ in range(count):
+        tx = _extreme_agent(rng)
+        rx = tx if rng.random() < 0.3 else _extreme_agent(rng)
+        channel = rng.random()
+        scalar = channel < 0.7
+        noise = ({"sigma": repr(_wide(rng))} if scalar else
+                 {"covariance": [[repr(_wide(rng)), "0.0"], ["0.0", repr(_wide(rng))]]})
+        power = ({"p_avg": repr(_wide(rng))} if 0.4 <= channel < 0.7
+                 else {"p0": repr(_wide(rng)), "p1": repr(_wide(rng))})
+        games.append({"transmitter": tx, "receiver": rx, "noise": noise, "power": power,
+                      "dimension": 1 if scalar else 2})
+    return games
 
 
 DEMO_TX = AgentParams.from_prior0(0.25, ((0.6, 0.4), (0.4, 0.6)))

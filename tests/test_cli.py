@@ -8,7 +8,6 @@ through a real subprocess because they pin byte-level reproducibility of the
 import io
 import contextlib
 import json
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -235,6 +234,8 @@ _REBINDINGS = [
     ("demo", "stackelberg", "receiver.prior0", lambda v: replace(
         demo_spec(), receiver=AgentParams.from_prior0(v, DEMO_RX.costs))),
     ("avg_symmetric", "nash", "power.p0", "param power.p0: peak-power config required"),
+    ("demo", "nash", "power.p_avg", "param power.p_avg: average-power config required"),
+    ("vector", "nash", "noise.sigma", "param noise.sigma: scalar-noise config required"),
     ("demo", "nash", "noise.covariance", "param noise.covariance: unknown field"),
     ("demo", "nash", "power.p2", "param power.p2: unknown field"),
     ("demo", "nash", "receiver.c22", "param receiver.c22: unknown field"),
@@ -264,26 +265,32 @@ def test_sweep_rebinds_each_field_or_names_its_error(config, concept, param, exp
                                 _fmt(rep.risk_r), rep.case_label])
 
 
-# (param, first value, the agent as a config holding that value, message)
+# (config, param, first value, the config's fields holding that value, message)
 _BAD_REBINDINGS = [
-    ("transmitter.c10", -1, {"prior0": 0.25, "costs": [[0.6, 0.4], [-1, 0.6]]},
+    ("demo", "transmitter.c10", -1,
+     {"transmitter": {"prior0": 0.25, "costs": [[0.6, 0.4], [-1, 0.6]]}},
      "transmitter: costs: entries must be nonnegative"),
-    ("receiver.prior0", 1.5, {"prior0": 1.5, "costs": [[0.0, 0.4], [0.9, 0.0]]},
+    ("demo", "receiver.prior0", 1.5,
+     {"receiver": {"prior0": 1.5, "costs": [[0.0, 0.4], [0.9, 0.0]]}},
      "receiver: prior0: priors must be strictly positive"),
-    ("eps10", -5, {"prior0": 0.25, "costs": [[0.6, 0.4], [-4.6, 0.6]]},
+    ("demo", "eps10", -5,
+     {"transmitter": {"prior0": 0.25, "costs": [[0.6, 0.4], [-4.6, 0.6]]}},
      "transmitter: costs: entries must be nonnegative"),
+    ("biased", "alpha", -1, {"alpha": -1}, "preset biased_cost: alpha: must lie in [0, 1]"),
 ]
 
 
-@pytest.mark.parametrize("param, lo, agent, message", _BAD_REBINDINGS,
-                         ids=[param for param, *_ in _BAD_REBINDINGS])
-def test_sweep_names_the_agent_of_a_bad_rebound_value(tmp_path, param, lo, agent, message):
-    code, out, err = run_cli(["sweep", "--config", CONFIGS / "demo.json", "--concept", "nash",
-                              "--param", param, "--min", lo, "--max", 1, "--steps", 3])
+@pytest.mark.parametrize("config, param, lo, fields, message", _BAD_REBINDINGS,
+                         ids=[param for _, param, *_ in _BAD_REBINDINGS])
+def test_sweep_names_the_agent_of_a_bad_rebound_value(tmp_path, config, param, lo, fields,
+                                                      message):
+    code, out, err = run_cli(["sweep", "--config", CONFIGS / f"{config}.json",
+                              "--concept", "nash", "--param", param, "--min", lo,
+                              "--max", 1, "--steps", 3])
     assert (code, out, err) == (2, "", f"error: {message}\n")
     # the same value read from a config gives the same message
-    doc = json.loads((CONFIGS / "demo.json").read_text())
-    doc["receiver" if param.startswith("receiver") else "transmitter"] = agent
+    doc = json.loads((CONFIGS / f"{config}.json").read_text())
+    doc.update(fields)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run_cli(["solve", "--config", path, "--concept", "nash"]) == (

@@ -39,9 +39,10 @@ from sigeq import (
     rules_equal,
     solve,
 )
-from conftest import (DEMO_RX, DEMO_TX, demo_spec, matched_rule, random_agent,
-                      random_scalar_spec, random_spd_matrix, rules_close, signals_equal,
-                      unit_rule)
+from sigeq.cli import spec_from_config
+from conftest import (DEMO_RX, DEMO_TX, cell_spec, demo_spec, extreme_games, matched_rule,
+                      random_agent, random_scalar_spec, random_spd_matrix, rules_close,
+                      signals_equal, unit_rule)
 
 Q1 = 0.15865525393145707
 
@@ -347,8 +348,6 @@ def test_threshold_ratio_values():
     assert tau_of(((1.0, 1.0), (1.0, 0.0))).value == 0.0  # fa = 0
     assert tau_of(((0.0, 0.5), (1.0, 1.0))).value == -2.0  # opposite signs
     assert not tau_of(((0.0, 0.5), (1.0, 1.0))).is_finite
-    with pytest.raises(SpecError):
-        tau_of(((1.0, 1.0), (1.0, 0.0))).finite_value()
 
 
 def test_derived_record_carries_what_the_pipeline_reads():
@@ -559,6 +558,14 @@ def test_unit_rule_scales_extreme_directions_exactly():
             assert unit_eta == pytest.approx(eta / 1.5e308 / math.sqrt(2.0), rel=1e-12)
 
 
+def test_rules_close_holds_for_bit_equal_rules():
+    # a lifted rule of the extreme draw: eta / max|a| overflows to inf, so the
+    # scaled gap of the rule to itself is nan
+    extreme = ReceiverRule.threshold([6.0759088e-316, 0.0], 0.48447597694017125)
+    assert rules_close(extreme, extreme, 1e-12)
+    assert not rules_close(extreme, ReceiverRule.threshold([6.0759088e-316, 0.0], 0.5), 1e-12)
+
+
 def test_optimal_rule_antipodal_symmetric():
     rx = AgentParams.from_prior0(0.5, ((0.0, 1.0), (1.0, 0.0)))
     rule = matched_rule(SignalDesign(-1.0, 1.0), rx, NoiseModel.scalar(1.0))
@@ -701,35 +708,6 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
-def _record_agent(rng) -> AgentParams:
-    prior0 = float(rng.uniform(0.05, 0.95))
-    if rng.uniform() < 0.25:
-        costs = rng.choice([0.0, 0.5, 1.0], size=4)  # zero margins and ties
-    else:
-        costs = rng.uniform(0.0, 2.0, size=4)
-    c = [float(x) for x in costs]
-    return AgentParams.from_prior0(prior0, ((c[0], c[1]), (c[2], c[3])))
-
-
-def _record_game(rng, channel: str, identical: bool, finite_tau: bool,
-                 dim: int) -> GameSpec:
-    while True:
-        tx = _record_agent(rng)
-        rx = tx if identical else _record_agent(rng)
-        if channel == "vector":
-            spec = GameSpec(tx, rx, NoiseModel.matrix(random_spd_matrix(rng, dim)),
-                            PeakPower(float(rng.uniform(0.25, 4.0)),
-                                      float(rng.uniform(0.25, 4.0))), dimension=dim)
-        else:
-            power = (AveragePower(float(rng.uniform(0.25, 4.0))) if channel == "avg"
-                     else PeakPower(float(rng.uniform(0.25, 4.0)),
-                                    float(rng.uniform(0.25, 4.0))))
-            spec = GameSpec(tx, rx, NoiseModel.scalar(float(rng.uniform(0.2, 2.0))),
-                            power)
-        if derived_quantities(spec).tau.is_finite == finite_tau:
-            return spec
-
-
 def _concepts(spec: GameSpec) -> list[Concept]:
     both = [Concept.STACKELBERG, Concept.NASH]
     return [Concept.TEAM] + both if spec.transmitter == spec.receiver else both
@@ -741,7 +719,8 @@ def test_solve_path_equals_the_public_primitives(channel):
     informative = 0
     for k in range(192):
         identical, finite_tau = bool(k % 2), bool(k // 2 % 2)
-        spec = _record_game(rng, channel, identical, finite_tau, 1 + k // 4 % 16)
+        spec = cell_spec(rng, channel, 1 + k // 4 % 16, identical, finite_tau,
+                         discrete=k < 64)
         tx, rx, noise = spec.transmitter, spec.receiver, spec.noise
         dq = derived_quantities(spec)
         for concept in _concepts(spec):
@@ -761,42 +740,6 @@ def test_solve_path_equals_the_public_primitives(channel):
                 want = risk_pair(tx, rx, rep.signals, rep.rule, noise)
             assert _bits((rep.risk_t, rep.risk_r)) == _bits(want)
     assert informative >= 100
-
-
-def _log_uniform(rng, lo: float, hi: float) -> float:
-    return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
-
-
-def _extreme_agent(rng) -> AgentParams:
-    """Priors near 0 or 1 half the time, and costs 0, O(1) or anywhere in
-    [1e-300, 1e300]."""
-    if rng.uniform() < 0.5:
-        prior0 = float(rng.uniform(0.01, 0.99))
-    else:
-        small = _log_uniform(rng, 1e-300, 1e-2)
-        prior0 = small if rng.uniform() < 0.5 else 1.0 - small
-    costs = []
-    for _ in range(4):
-        pick = rng.integers(3)
-        costs.append(0.0 if pick == 0 else float(rng.uniform(0.0, 2.0)) if pick == 1
-                     else _log_uniform(rng, 1e-300, 1e300))
-    return AgentParams.from_prior0(prior0, ((costs[0], costs[1]), (costs[2], costs[3])))
-
-
-def _extreme_game(rng) -> GameSpec:
-    tx = _extreme_agent(rng)
-    rx = tx if rng.uniform() < 0.3 else _extreme_agent(rng)
-    pick = rng.uniform()
-    if pick < 0.3:
-        variances = [_log_uniform(rng, 1e-300, 1e300) for _ in range(2)]
-        return GameSpec(tx, rx, NoiseModel.matrix(np.diag(variances)),
-                        PeakPower(_log_uniform(rng, 1e-300, 1e300),
-                                  _log_uniform(rng, 1e-300, 1e300)), dimension=2)
-    noise = NoiseModel.scalar(_log_uniform(rng, 1e-300, 1e300))
-    if pick < 0.6:
-        return GameSpec(tx, rx, noise, AveragePower(_log_uniform(rng, 1e-300, 1e300)))
-    return GameSpec(tx, rx, noise, PeakPower(_log_uniform(rng, 1e-300, 1e300),
-                                             _log_uniform(rng, 1e-300, 1e300)))
 
 
 def _outcome(run, spec: GameSpec, concept: Concept) -> tuple:
@@ -828,12 +771,11 @@ def _outcome(run, spec: GameSpec, concept: Concept) -> tuple:
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_solve_path_equals_the_public_primitives_at_extreme_magnitudes():
-    rng = np.random.default_rng(34)
     outcomes = {"solved": 0, "raised": 0, "rejected": 0}
     lifted = 0
-    for _ in range(3000):
+    for doc in extreme_games(34, 7000):
         try:
-            spec = _extreme_game(rng)
+            spec = spec_from_config(doc)
         except SpecError:
             outcomes["rejected"] += 1
             continue

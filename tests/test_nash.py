@@ -34,8 +34,8 @@ from sigeq import (
     single_cost_perturbations,
     solve,
 )
-from conftest import (demo_spec, matched_rule, random_scalar_spec, signals_equal,
-                      team_point_spec)
+from conftest import (cell_spec, demo_spec, matched_rule, random_scalar_spec,
+                      signals_equal, team_point_spec)
 
 HONEST = ((0.0, 1.0), (1.0, 0.0))
 
@@ -289,37 +289,15 @@ def test_dynamics_reject_a_vector_starting_rule_on_the_scalar_channel():
     assert str(info.value) == "rule.a: a scalar channel takes a scalar direction"
 
 
-def _edge_agent(rng):
-    """An agent whose costs may tie (zero margins): drawn from {0, 0.5, 1}
-    half the time, else continuously."""
-    if rng.random() < 0.5:
-        c = [float(x) for x in rng.choice([0.0, 0.5, 1.0], size=4)]
-    else:
-        c = [float(x) for x in rng.uniform(0.0, 2.0, size=4)]
-    return AgentParams.from_prior0(float(rng.uniform(0.05, 0.95)),
-                                   ((c[0], c[1]), (c[2], c[3])))
-
-
-def _edge_spec(rng):
-    """A finite-tau game with edge-case agents and, half the time, tied
-    budgets."""
-    while True:
-        p0 = float(rng.uniform(0.25, 4.0))
-        p1 = p0 if rng.random() < 0.5 else float(rng.uniform(0.25, 4.0))
-        spec = GameSpec(_edge_agent(rng), _edge_agent(rng),
-                        NoiseModel.scalar(float(rng.uniform(0.2, 2.0))),
-                        PeakPower(p0, p1))
-        if derived_quantities(spec).tau.is_finite:
-            return spec
-
-
 def test_dynamics_never_exhausts_on_random_games():
     # the three-round argument of best_response_dynamics: random games
-    # started at eta = 0, then games with zero cost margins and tied budgets
-    # started at a random eta
+    # started at eta = 0, then mismatched finite-tau games of the cell draw,
+    # half of them discrete (zero cost margins and tied budgets), started at
+    # a random eta
     rng = np.random.default_rng(23)
     specs = ([random_scalar_spec(rng) for _ in range(200)]
-             + [_edge_spec(rng) for _ in range(200)])
+             + [cell_spec(rng, "scalar", 1, False, True, discrete=bool(k % 2))
+                for k in range(200)])
     assert any(s.transmitter.false_alarm_margin == 0.0
                or s.transmitter.miss_margin == 0.0 for s in specs)
     outcomes = set()

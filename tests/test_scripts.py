@@ -4,6 +4,8 @@ Each script is loaded from its file, as the golden tests load theirs, and
 its ``main`` runs in process with ``sys.argv`` set to the command line.
 """
 
+import hashlib
+import json
 import re
 import shutil
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import load_script
+from conftest import extreme_games, load_script
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -89,3 +91,11 @@ def test_differential_of_the_tree_against_itself_is_bit_equal(monkeypatch, capsy
     total, equal, errors = map(int, counts.groups())
     assert total == equal + errors and equal > 0 and errors > 0
     assert not any(name.startswith(differential.PARENT) for name in sys.modules)
+
+
+def test_the_extreme_draw_is_pinned():
+    # the differential's fixed extreme draw, every document to the byte, so
+    # its one definition in conftest cannot drift unnoticed
+    assert (differential.EXTREME_SEED, differential.EXTREME_DRAWS) == (0, 3000)
+    digest = hashlib.sha256(json.dumps(extreme_games(0, 3000)).encode()).hexdigest()
+    assert digest == "1496bcff9c15ee8d2acc3625d81367903b71193168068e7cea3064642e5b370d"

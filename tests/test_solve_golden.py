@@ -15,7 +15,7 @@ import json
 import pytest
 
 from sigeq import ReceiverRule, cli
-from conftest import load_script
+from conftest import CELL_CHANNELS, load_script
 
 golden = load_script("golden")
 RUNS = golden.solve_runs()
@@ -33,8 +33,8 @@ PEAK_NASH_LABELS = ({"degenerate"} | set(_PLAIN_XI) - set(_MIXED_XI)
 AVG_NASH_LABELS = ({"degenerate"} | set(_PLAIN_XI)
                    | {"xi(+,-) x*>=rootP", "xi(-,+) x*<rootP"})
 EXPECTED_LABELS = {
-    **{(ch, "team"): {"degenerate", "informative"} for ch in golden.CHANNELS},
-    **{(ch, "stackelberg"): STACKELBERG_LABELS for ch in golden.CHANNELS},
+    **{(ch, "team"): {"degenerate", "informative"} for ch in CELL_CHANNELS},
+    **{(ch, "stackelberg"): STACKELBERG_LABELS for ch in CELL_CHANNELS},
     ("scalar", "nash"): PEAK_NASH_LABELS,
     ("vector", "nash"): PEAK_NASH_LABELS,
     ("avg", "nash"): AVG_NASH_LABELS,
@@ -107,7 +107,7 @@ def test_record_covers_every_cell_and_case_label():
             labels[record["channel"], concept].add(outcome["case_label"])
             if outcome["case_label"] == "case-6":
                 case6.add(outcome["informative"])
-    assert cells >= {(ch, agents, tau, draws) for ch in golden.CHANNELS
+    assert cells >= {(ch, agents, tau, draws) for ch in CELL_CHANNELS
                      for agents in ("identical", "mismatched")
                      for tau in ("finite", "degenerate")
                      for draws in ("continuous", "discrete")}

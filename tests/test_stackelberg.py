@@ -17,7 +17,6 @@ from sigeq import (
     NoiseModel,
     PeakPower,
     Perturbation,
-    ReceiverRule,
     RuleKind,
     SignalDesign,
     SpecError,
@@ -68,7 +67,7 @@ def endpoint_risks(spec):
     equal budgets of ``spec_with_weights``."""
     dq = derived_quantities(spec)
     idle = SignalDesign(0.0, 0.0)
-    rule0 = prior_only_rule(dq.tau.finite_value(), dq.zeta)
+    rule0 = prior_only_rule(dq.tau.value, dq.zeta)
     at_zero = risk_pair(spec.transmitter, spec.receiver, idle, rule0, spec.noise)[0]
     # the solve's levels at d_max: with equal budgets the first one is not shifted
     u0 = -math.sqrt(spec.power.p0)
@@ -100,7 +99,7 @@ def test_interior_optimum_example():
 def test_interior_optimum_is_stationary():
     dq = derived_quantities(demo_spec())
     d = solve(demo_spec(), Concept.STACKELBERG).d_star
-    log_tau = math.log(dq.tau.finite_value())
+    log_tau = math.log(dq.tau.value)
     bracket = dq.k0 * (-log_tau / d ** 2 + 0.5) + dq.k1 * (log_tau / d ** 2 + 0.5)
     assert abs(bracket) <= 1e-9
 
@@ -149,7 +148,7 @@ def test_classification_cells():
 
 def test_case3_matches_its_own_formula():
     dq = derived_quantities(demo_spec())
-    log_tau = math.log(dq.tau.finite_value())
+    log_tau = math.log(dq.tau.value)
     want = math.sqrt(abs(2.0 * log_tau * (dq.k0 - dq.k1) / (dq.k0 + dq.k1)))
     assert solve(demo_spec(), Concept.STACKELBERG).d_star == want
 
@@ -390,7 +389,7 @@ def test_subjective_priors_preset_full_separation():
     # transmitter at least as confident in H0 as the receiver, tau < 1
     for p_t, p_r in ((0.6, 0.4), (0.45, 0.3), (0.4, 0.4)):
         spec = preset_subjective_priors(p_t, p_r)
-        assert derived_quantities(spec).tau.finite_value() < 1.0
+        assert 0.0 < derived_quantities(spec).tau.value < 1.0
         rep = solve(spec, Concept.STACKELBERG)
         assert rep.informative and rep.d_star == rep.d_max
 
